@@ -7,10 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "energy/profiles.h"
 #include "hash/hmac_drbg.h"
+#include "mpint/mod_context.h"
 #include "sig/gq.h"
 
 using namespace idgka;
@@ -19,7 +21,8 @@ namespace {
 
 struct BatchFixture {
   sig::GqParams params;
-  std::vector<std::uint32_t> ids;
+  std::shared_ptr<const mpint::ModContext> ctx;
+  std::vector<sig::GqIdentity> identities;
   std::vector<sig::BigInt> s_values;
   std::vector<sig::GqSignature> individual;
   std::vector<std::vector<std::uint8_t>> messages;
@@ -36,14 +39,15 @@ BatchFixture make_fixture(std::size_t n) {
 
   BatchFixture f;
   f.params = pkg.params();
+  f.ctx = std::make_shared<const mpint::ModContext>(f.params.n);
   f.z = {0x01, 0x02, 0x03};
   std::vector<sig::GqSigner> signers;
   std::vector<sig::GqSigner::Commitment> commits;
   sig::BigInt t_prod{1};
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::uint32_t>(3000 + i);
-    f.ids.push_back(id);
-    signers.emplace_back(f.params, id, pkg.extract(id));
+    f.identities.push_back(sig::gq_identity(f.params, id));
+    signers.emplace_back(f.params, id, pkg.extract(f.identities.back()));
     commits.push_back(signers.back().commit(rng));
     t_prod = mpint::mod_mul(t_prod, commits.back().t, f.params.n);
   }
@@ -61,7 +65,7 @@ void BM_BatchVerify(benchmark::State& state) {
   const auto f = make_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sig::gq_batch_verify(f.params, f.ids, f.s_values, f.c, f.z));
+        sig::gq_batch_verify(f.params, *f.ctx, f.identities, f.s_values, f.c, f.z));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -71,8 +75,8 @@ void BM_IndividualVerify(benchmark::State& state) {
   const auto f = make_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     bool all = true;
-    for (std::size_t i = 0; i < f.ids.size(); ++i) {
-      all &= sig::gq_verify(f.params, f.ids[i], f.messages[i], f.individual[i]);
+    for (std::size_t i = 0; i < f.identities.size(); ++i) {
+      all &= sig::gq_verify(f.params, *f.ctx, f.identities[i], f.messages[i], f.individual[i]);
     }
     benchmark::DoNotOptimize(all);
   }

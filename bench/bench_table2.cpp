@@ -125,17 +125,20 @@ BENCHMARK(BM_SignVerSok);
 
 void BM_SignGenGq(benchmark::State& state) {
   auto& f = fx();
-  const sig::GqSigner signer(f.gq_pkg.params(), 42, f.gq_pkg.extract(42));
+  const sig::GqSigner signer(f.gq_pkg.params(), 42,
+                             f.gq_pkg.extract(sig::gq_identity(f.gq_pkg.params(), 42)));
   for (auto _ : state) benchmark::DoNotOptimize(signer.sign(kMsg, f.rng));
 }
 BENCHMARK(BM_SignGenGq);
 
 void BM_SignVerGq(benchmark::State& state) {
   auto& f = fx();
-  const sig::GqSigner signer(f.gq_pkg.params(), 42, f.gq_pkg.extract(42));
+  const sig::GqIdentity identity = sig::gq_identity(f.gq_pkg.params(), 42);
+  const sig::GqSigner signer(f.gq_pkg.params(), 42, f.gq_pkg.extract(identity));
   const auto sig = signer.sign(kMsg, f.rng);
+  const mpint::ModContext ctx(f.gq_pkg.params().n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sig::gq_verify(f.gq_pkg.params(), 42, kMsg, sig));
+    benchmark::DoNotOptimize(sig::gq_verify(f.gq_pkg.params(), ctx, identity, kMsg, sig));
   }
 }
 BENCHMARK(BM_SignVerGq);

@@ -14,6 +14,12 @@ namespace {
 thread_local ProtocolRun* t_current_run = nullptr;
 
 constexpr std::size_t kMaxShards = 16;
+
+#if IDGKA_OBS
+std::uint64_t shard_clock(const void* sched) {
+  return static_cast<std::uint64_t>(static_cast<const sim::Scheduler*>(sched)->now());
+}
+#endif
 }  // namespace
 
 // ------------------------------------------------------------- ProtocolRun
@@ -375,6 +381,11 @@ void Executor::drain() {
       const sim::SimTime barrier = *next;
       run_phase([this, barrier](std::size_t s) {
         Shard& shard = *shards_[s];
+#if IDGKA_OBS
+        // Trace events stamp the executing shard's clock: shard 0's, which
+        // an installed sim clock reads, may still show the last barrier.
+        const obs::ScopedThreadClock obs_clock(&shard_clock, shard.sched);
+#endif
         const std::lock_guard<std::mutex> lock(shard.mutex);
         shard.sched->run_until(barrier);
       });

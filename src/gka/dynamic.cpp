@@ -178,7 +178,7 @@ RunResult run_join(const SystemParams& params, std::span<MemberCtx> members,
     const net::Message& rx = r1.collected.at(m.cred.id).at(joiner.cred.id);
     m.ledger.record(Op::kSignVerGq);
     const sig::GqSignature s{rx.payload.get_int("sig_s"), rx.payload.get_int("sig_c")};
-    return sig::gq_verify(params.gq, *params.ctx_n, joiner.cred.id,
+    return sig::gq_verify(params.gq, *params.ctx_n, joiner.cred.gq_identity,
                           id_z_bytes(joiner.cred.id, rx.payload.get_int("z")), s);
   };
 
@@ -245,7 +245,7 @@ RunResult run_join(const SystemParams& params, std::span<MemberCtx> members,
   {
     const sig::GqSignature s{m_un_at_joiner.payload.get_int("sig_s"),
                              m_un_at_joiner.payload.get_int("sig_c")};
-    if (!sig::gq_verify(params.gq, *params.ctx_n, un.cred.id,
+    if (!sig::gq_verify(params.gq, *params.ctx_n, un.cred.gq_identity,
                         blob_z_bytes(m_un_at_joiner.payload.get_blob("ek_bridge"),
                                      m_un_at_joiner.payload.get_int("zn")),
                         s)) {
@@ -375,6 +375,13 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
     throw std::invalid_argument("run_departure: no listed leaver is in the ring");
   }
   const std::size_t m_count = survivors.size();
+  // The survivors' public identities, in survivor-ring order, for the batch
+  // checks below.
+  std::vector<sig::GqIdentity> roster;
+  roster.reserve(m_count);
+  for (const std::uint32_t id : survivors) {
+    roster.push_back(find_member(members, id)->cred.gq_identity);
+  }
   const std::size_t z_bits = params.element_bits();
   const std::size_t t_bits = params.gq_t_bits();
   const std::size_t s_bits = params.gq_s_bits();
@@ -492,7 +499,7 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
       s_ring[j] = msg.payload.get_int("s");
     }
     m.ledger.record(Op::kSignVerGq);
-    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, survivors, s_ring, locals[k].c,
+    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, roster, s_ring, locals[k].c,
                                locals[k].z_prod.to_bytes_be())) {
       return result;
     }
@@ -623,7 +630,7 @@ RunResult run_merge(const SystemParams& params, std::span<MemberCtx> group_a,
     const sig::GqSignature s{m1b_at_u1.payload.get_int("sig_s"),
                              m1b_at_u1.payload.get_int("sig_c")};
     if (!sig::gq_verify(
-            params.gq, *params.ctx_n, ub.cred.id,
+            params.gq, *params.ctx_n, ub.cred.gq_identity,
             blob_z_bytes(id_z_bytes(ub.cred.id, m1b_at_u1.payload.get_int("z_new")),
                          m1b_at_u1.payload.get_int("z_last")),
             s)) {
@@ -658,7 +665,7 @@ RunResult run_merge(const SystemParams& params, std::span<MemberCtx> group_a,
     const sig::GqSignature s{m1a_at_ub.payload.get_int("sig_s"),
                              m1a_at_ub.payload.get_int("sig_c")};
     if (!sig::gq_verify(
-            params.gq, *params.ctx_n, u1.cred.id,
+            params.gq, *params.ctx_n, u1.cred.gq_identity,
             blob_z_bytes(id_z_bytes(u1.cred.id, m1a_at_ub.payload.get_int("z_new")),
                          m1a_at_ub.payload.get_int("z_last")),
             s)) {

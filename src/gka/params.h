@@ -1,14 +1,20 @@
 // System parameters and the trust authority (PKG + certificate authority).
 //
 // The paper's Setup: a PKG generates the GQ modulus (n = p'q', e, d) and the
-// key-agreement group (1024-bit p, 160-bit q | p-1, generator g). The same
-// authority object also provisions the baselines' credentials: SOK pairing
-// parameters and master key, DSA/ECDSA key pairs and certificates — so one
-// `Authority` can enroll a member for every protocol variant under test.
+// key-agreement group (1024-bit p, 160-bit q | p-1, generator g). That is all
+// an `Authority` builds up front, and `enroll(id)` issues only the GQ
+// credential (S_U plus the public identity verifiers check it against).
+//
+// The baselines' machinery — SOK pairing parameters and master key, DSA
+// parameters and CA, the ECDSA CA — is built on first use, each from its own
+// DRBG substream derived from (seed, scheme label), and `enroll(id, scheme)`
+// adds only that scheme's part. So the proposed scheme never pays for the
+// baselines, and no scheme's keys depend on which other schemes ran.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "ec/curve.h"
 #include "mpint/mod_context.h"
@@ -30,6 +36,16 @@ enum class SecurityProfile {
   kTest,   ///< fast CI sizes: |p| = 256, |q| = 160, |n| = 256
   kTiny,   ///< property-sweep sizes: |p| = 192, |q| = 128, |n| = 192
 };
+
+/// Size triple for a profile: (|p|, |q|, |n|) bits.
+struct ProfileSizes {
+  std::size_t p_bits;
+  std::size_t q_bits;
+  std::size_t gq_bits;
+  std::size_t ss_p_bits;
+  std::size_t ss_q_bits;
+};
+[[nodiscard]] ProfileSizes profile_sizes(SecurityProfile profile);
 
 /// Modular-arithmetic view of the (p, q, g) key-agreement group, threaded
 /// down into the ring computations (gka::bd) so they never re-derive
@@ -72,11 +88,16 @@ struct SystemParams {
   [[nodiscard]] std::size_t gq_s_bits() const { return gq.n.bit_length(); }
 };
 
-/// Per-member credential bundle covering every protocol variant.
+/// Protocol variant (the five columns of Table 1).
+enum class Scheme { kProposed, kBdSok, kBdEcdsa, kBdDsa, kSsn };
+
+/// Per-member credentials. The GQ part is always issued; each baseline part
+/// is filled only by `Authority::enroll(id, scheme)` for that scheme.
 struct MemberCredentials {
   std::uint32_t id = 0;
-  // Proposed scheme (GQ ID-based).
-  BigInt gq_secret;  ///< S_U = H(U)^d mod n
+  // Proposed scheme and SSN (GQ ID-based).
+  BigInt gq_secret;              ///< S_U = H(U)^d mod n
+  sig::GqIdentity gq_identity;   ///< U, H(U), H(U)^{-1}: what verifiers check
   // SOK baseline.
   ec::Point sok_secret;  ///< S_ID = s * MapToPoint(ID)
   // Certificate-based baselines.
@@ -86,50 +107,59 @@ struct MemberCredentials {
   pki::Certificate ecdsa_cert;
 };
 
-/// The trusted authority: GQ PKG + SOK PKG + DSA/ECDSA CAs.
+/// The trusted authority: GQ PKG, plus the SOK PKG and DSA/ECDSA CAs built
+/// on first use.
 ///
 /// Deterministic under (profile, seed); a fixed seed reproduces identical
-/// parameters and credentials, which the tests and benches rely on.
+/// parameters and credentials, which the tests and benches rely on. The
+/// baseline accessors are safe to call concurrently; enrollment is not.
 class Authority {
  public:
   Authority(SecurityProfile profile, std::uint64_t seed);
+  ~Authority();
+  Authority(const Authority&) = delete;
+  Authority& operator=(const Authority&) = delete;
 
   [[nodiscard]] const SystemParams& params() const { return params_; }
-  [[nodiscard]] const pairing::SsGroup& ss_group() const { return *ss_group_; }
-  [[nodiscard]] const pairing::TatePairing& tate() const { return *tate_; }
-  [[nodiscard]] const ec::Point& sok_public_key() const { return sok_pkg_->public_key(); }
-  [[nodiscard]] const sig::DsaParams& dsa_params() const { return dsa_params_; }
-  /// Cached mod-p context for the DSA baseline parameters.
-  [[nodiscard]] const mpint::ModContext& dsa_ctx() const { return *dsa_ctx_; }
-  [[nodiscard]] const ec::Curve& curve() const { return *curve_; }
-  [[nodiscard]] const pki::CertificateAuthority& dsa_ca() const { return *dsa_ca_; }
-  [[nodiscard]] const pki::CertificateAuthority& ecdsa_ca() const { return *ecdsa_ca_; }
 
-  /// Enrolls a member: extracts ID-based keys and issues certificates.
+  // SOK baseline (built on first use).
+  [[nodiscard]] const pairing::SsGroup& ss_group() const;
+  [[nodiscard]] const pairing::TatePairing& tate() const;
+  [[nodiscard]] const ec::Point& sok_public_key() const;
+  // DSA baseline (built on first use).
+  [[nodiscard]] const sig::DsaParams& dsa_params() const;
+  /// Cached mod-p context for the DSA baseline parameters.
+  [[nodiscard]] const mpint::ModContext& dsa_ctx() const;
+  [[nodiscard]] const pki::CertificateAuthority& dsa_ca() const;
+  // ECDSA baseline (built on first use).
+  [[nodiscard]] const ec::Curve& curve() const { return ec::secp160r1(); }
+  [[nodiscard]] const pki::CertificateAuthority& ecdsa_ca() const;
+
+  /// The paper's Extract: the member's GQ secret and public identity.
   [[nodiscard]] MemberCredentials enroll(std::uint32_t id);
+  /// enroll(id) plus the credential part `scheme` authenticates with
+  /// (nothing more for kProposed and kSsn).
+  [[nodiscard]] MemberCredentials enroll(std::uint32_t id, Scheme scheme);
 
  private:
+  struct SokBaseline;
+  struct DsaBaseline;
+  struct EcdsaBaseline;
+  SokBaseline& sok() const;
+  DsaBaseline& dsa() const;
+  EcdsaBaseline& ecdsa() const;
+
+  std::uint64_t seed_;
+  ProfileSizes sizes_;
+  int mr_rounds_;
   SystemParams params_;
   std::unique_ptr<sig::GqPkg> gq_pkg_;
-  std::unique_ptr<pairing::SsGroup> ss_group_;
-  std::unique_ptr<pairing::TatePairing> tate_;
-  std::unique_ptr<sig::SokPkg> sok_pkg_;
-  sig::DsaParams dsa_params_;
-  std::shared_ptr<const mpint::ModContext> dsa_ctx_;
-  const ec::Curve* curve_ = nullptr;
-  std::unique_ptr<pki::CertificateAuthority> dsa_ca_;
-  std::unique_ptr<pki::CertificateAuthority> ecdsa_ca_;
-  std::unique_ptr<mpint::Rng> rng_;
+  mutable std::once_flag sok_once_;
+  mutable std::once_flag dsa_once_;
+  mutable std::once_flag ecdsa_once_;
+  mutable std::unique_ptr<SokBaseline> sok_;
+  mutable std::unique_ptr<DsaBaseline> dsa_;
+  mutable std::unique_ptr<EcdsaBaseline> ecdsa_;
 };
-
-/// Size triple for a profile: (|p|, |q|, |n|) bits.
-struct ProfileSizes {
-  std::size_t p_bits;
-  std::size_t q_bits;
-  std::size_t gq_bits;
-  std::size_t ss_p_bits;
-  std::size_t ss_q_bits;
-};
-[[nodiscard]] ProfileSizes profile_sizes(SecurityProfile profile);
 
 }  // namespace idgka::gka

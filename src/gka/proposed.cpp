@@ -31,9 +31,16 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
   const std::size_t n = members.size();
   if (n < 2) throw std::invalid_argument("run_proposed: need at least 2 members");
 
+  // Ring order, and the public identities every verifier checks the batch
+  // against: gathered once, shared read-only by the parallel verifiers.
   std::vector<std::uint32_t> ring;
+  std::vector<sig::GqIdentity> roster;
   ring.reserve(n);
-  for (const MemberCtx& m : members) ring.push_back(m.cred.id);
+  roster.reserve(n);
+  for (const MemberCtx& m : members) {
+    ring.push_back(m.cred.id);
+    roster.push_back(m.cred.gq_identity);
+  }
 
   const gka::GroupCtx grp = params.group();
   const std::size_t z_bits = params.element_bits();
@@ -148,7 +155,6 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     // Collect X_j and s_j in ring order (own values from locals).
     std::vector<BigInt> x_ring(n);
     std::vector<BigInt> s_ring(n);
-    std::vector<std::uint32_t> ids = ring;
     const std::size_t own = m.ring_index();
     x_ring[own] = locals[idx].x;
     s_ring[own] = locals[idx].s;
@@ -160,7 +166,7 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
 
     // Equation (2): one batch verification per member.
     m.ledger.record(Op::kSignVerGq);
-    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, ids, s_ring, locals[idx].c,
+    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, roster, s_ring, locals[idx].c,
                               locals[idx].z_prod.to_bytes_be())) {
       all_ok.store(false, std::memory_order_relaxed);
       return;  // protocol-level failure (driver may retry from scratch)

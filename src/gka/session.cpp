@@ -37,7 +37,7 @@ GroupSession::GroupSession(Authority& authority, Scheme scheme,
   if (ids.size() < 2) throw std::invalid_argument("GroupSession: need at least 2 members");
   members_.reserve(ids.size());
   for (const std::uint32_t id : ids) {
-    members_.push_back(make_member(authority_->enroll(id), seed_));
+    members_.push_back(make_member(authority_->enroll(id, scheme_), seed_));
     network_->add_node(id);
   }
   snapshot_traffic();
@@ -103,7 +103,7 @@ RunResult GroupSession::reexecute() { return form(); }
 
 RunResult GroupSession::join(std::uint32_t new_id) {
   if (find(new_id) != nullptr) throw std::invalid_argument("join: id already in group");
-  MemberCtx joiner = make_member(authority_->enroll(new_id), seed_);
+  MemberCtx joiner = make_member(authority_->enroll(new_id, scheme_), seed_);
   network_->add_node(new_id);
 
   if (scheme_ != Scheme::kProposed) {

@@ -20,15 +20,12 @@
 
 namespace idgka::gka {
 
-/// Protocol variant (the five columns of Table 1).
-enum class Scheme { kProposed, kBdSok, kBdEcdsa, kBdDsa, kSsn };
-
 [[nodiscard]] const char* scheme_name(Scheme scheme);
 
 class GroupSession {
  public:
   /// Creates a session over `ids` (becomes the ring order). Members are
-  /// enrolled with `authority`. Deterministic under `seed`.
+  /// enrolled with `authority` for `scheme` only. Deterministic under `seed`.
   GroupSession(Authority& authority, Scheme scheme, std::vector<std::uint32_t> ids,
                std::uint64_t seed, double loss_rate = 0.0);
 

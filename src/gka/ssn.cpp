@@ -38,9 +38,16 @@ RunResult run_ssn(const SystemParams& params, std::span<MemberCtx> members,
   const std::size_t n = members.size();
   if (n < 2) throw std::invalid_argument("run_ssn: need at least 2 members");
 
+  // Ring order and the members' public identities (H(U_j) for the
+  // authenticator checks), gathered once and shared by the verifiers.
   std::vector<std::uint32_t> ring;
+  std::vector<sig::GqIdentity> roster;
   ring.reserve(n);
-  for (const MemberCtx& m : members) ring.push_back(m.cred.id);
+  roster.reserve(n);
+  for (const MemberCtx& m : members) {
+    ring.push_back(m.cred.id);
+    roster.push_back(m.cred.gq_identity);
+  }
 
   const gka::GroupCtx grp = params.group();
   const std::size_t z_bits = params.element_bits();
@@ -136,7 +143,7 @@ RunResult run_ssn(const SystemParams& params, std::span<MemberCtx> members,
       // a_j^e == H(U_j) * w_j^{c_j * e} mod n  —  two exponentiations.
       m.ledger.record(Op::kModExp, 2);
       const BigInt lhs = params.ctx_n->exp(a_j, params.gq.e);
-      const BigInt rhs = params.ctx_n->mul(sig::gq_hash_id(params.gq, sender),
+      const BigInt rhs = params.ctx_n->mul(roster[j].h,
                                            params.ctx_n->exp(w_j, c_j * params.gq.e));
       if (lhs != rhs) {
         all_ok.store(false, std::memory_order_relaxed);

@@ -8,24 +8,47 @@
 
 namespace idgka::sig {
 
+namespace {
+
+// Candidate `ctr` of H(ID): SHA-256("idgka-gq-id" || id || ctr), expanded to
+// |n| + 64 bits and reduced mod n.
+BigInt hash_id_candidate(const GqParams& params, std::uint32_t id, std::uint32_t ctr) {
+  hash::Sha256 h;
+  h.update(std::string_view{"idgka-gq-id|"});
+  std::array<std::uint8_t, 8> buf{};
+  for (int i = 0; i < 4; ++i) buf[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(id >> (24 - i * 8));
+  for (int i = 0; i < 4; ++i) buf[static_cast<std::size_t>(4 + i)] = static_cast<std::uint8_t>(ctr >> (24 - i * 8));
+  h.update(buf);
+  std::vector<std::uint8_t> material;
+  auto digest = h.finalize();
+  while (material.size() * 8 < params.n.bit_length() + 64) {
+    material.insert(material.end(), digest.begin(), digest.end());
+    digest = hash::Sha256::digest(digest);
+  }
+  return BigInt::from_bytes_be(material).mod(params.n);
+}
+
+}  // namespace
+
 BigInt gq_hash_id(const GqParams& params, std::uint32_t id) {
-  // Expand SHA-256("idgka-gq-id" || id || ctr) until the value is a unit
-  // mod n (overwhelmingly the first candidate).
+  // The first candidate that is a unit mod n (overwhelmingly ctr = 0).
   for (std::uint32_t ctr = 0;; ++ctr) {
-    hash::Sha256 h;
-    h.update(std::string_view{"idgka-gq-id|"});
-    std::array<std::uint8_t, 8> buf{};
-    for (int i = 0; i < 4; ++i) buf[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(id >> (24 - i * 8));
-    for (int i = 0; i < 4; ++i) buf[static_cast<std::size_t>(4 + i)] = static_cast<std::uint8_t>(ctr >> (24 - i * 8));
-    h.update(buf);
-    std::vector<std::uint8_t> material;
-    auto digest = h.finalize();
-    while (material.size() * 8 < params.n.bit_length() + 64) {
-      material.insert(material.end(), digest.begin(), digest.end());
-      digest = hash::Sha256::digest(digest);
-    }
-    BigInt v = BigInt::from_bytes_be(material).mod(params.n);
+    BigInt v = hash_id_candidate(params, id, ctr);
     if (!v.is_zero() && mpint::gcd(v, params.n).is_one()) return v;
+  }
+}
+
+GqIdentity gq_identity(const GqParams& params, std::uint32_t id) {
+  // Same candidate walk as gq_hash_id; egcd's Bezout coefficient is the
+  // inverse whenever the gcd is 1.
+  for (std::uint32_t ctr = 0;; ++ctr) {
+    BigInt v = hash_id_candidate(params, id, ctr);
+    if (v.is_zero()) continue;
+    BigInt x;
+    BigInt y;
+    if (mpint::egcd(v, params.n, x, y).is_one()) {
+      return GqIdentity{id, std::move(v), x.mod(params.n)};
+    }
   }
 }
 
@@ -48,8 +71,8 @@ GqPkg::GqPkg(mpint::Rng& rng, std::size_t modulus_bits, int mr_rounds)
 GqPkg::GqPkg(mpint::GqModulus modulus)
     : key_(std::move(modulus)), params_{key_.n, key_.e}, ctx_(key_.n) {}
 
-BigInt GqPkg::extract(std::uint32_t id) const {
-  return ctx_.exp(gq_hash_id(params_, id), key_.d);
+BigInt GqPkg::extract(const GqIdentity& identity) const {
+  return ctx_.exp(identity.h, key_.d);
 }
 
 GqSigner::GqSigner(GqParams params, std::uint32_t id, BigInt secret_key)
@@ -87,62 +110,38 @@ GqSignature GqSigner::sign(std::span<const std::uint8_t> message, mpint::Rng& rn
   return GqSignature{respond(commitment, c), c};
 }
 
-bool gq_verify(const GqParams& params, const mpint::ModContext& ctx, std::uint32_t id,
+bool gq_verify(const GqParams& params, const mpint::ModContext& ctx, const GqIdentity& signer,
                std::span<const std::uint8_t> message, const GqSignature& sig) {
   if (ctx.modulus() != params.n) {
     throw std::invalid_argument("gq_verify: context modulus does not match params.n");
   }
   if (sig.s.is_zero() || sig.s >= params.n || sig.s.negative()) return false;
   // t' = s^e * H(ID)^{-c} mod n, as one joint double exponentiation.
-  const BigInt hid = gq_hash_id(params, id);
-  BigInt t_prime;
-  try {
-    const std::array<BigInt, 2> bases{sig.s, mpint::mod_inverse(hid, params.n)};
-    const std::array<BigInt, 2> exps{params.e, sig.c};
-    t_prime = ctx.multi_exp(bases, exps);
-  } catch (const std::domain_error&) {
-    return false;
-  }
+  const std::array<BigInt, 2> bases{sig.s, signer.h_inv};
+  const std::array<BigInt, 2> exps{params.e, sig.c};
+  const BigInt t_prime = ctx.multi_exp(bases, exps);
   return gq_challenge(t_prime.to_bytes_be(), message) == sig.c;
 }
 
-bool gq_verify(const GqParams& params, std::uint32_t id,
-               std::span<const std::uint8_t> message, const GqSignature& sig) {
-  return gq_verify(params, mpint::ModContext(params.n), id, message, sig);
-}
-
 bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
-                     std::span<const std::uint32_t> ids, std::span<const BigInt> s_values,
+                     std::span<const GqIdentity> signers, std::span<const BigInt> s_values,
                      const BigInt& c, std::span<const std::uint8_t> z_bytes) {
   if (ctx.modulus() != params.n) {
     throw std::invalid_argument("gq_batch_verify: context modulus does not match params.n");
   }
-  if (ids.size() != s_values.size() || ids.empty()) return false;
-  std::vector<BigInt> h_vals;
-  h_vals.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  if (signers.size() != s_values.size() || signers.empty()) return false;
+  std::vector<BigInt> h_invs;
+  h_invs.reserve(signers.size());
+  for (std::size_t i = 0; i < signers.size(); ++i) {
     if (s_values[i].is_zero() || s_values[i].negative() || s_values[i] >= params.n) {
       return false;
     }
-    h_vals.push_back(gq_hash_id(params, ids[i]));
+    h_invs.push_back(signers[i].h_inv);
   }
-  const BigInt s_prod = ctx.product(s_values);
-  const BigInt h_prod = ctx.product(h_vals);
-  BigInt t_prime;
-  try {
-    const std::array<BigInt, 2> bases{s_prod, mpint::mod_inverse(h_prod, params.n)};
-    const std::array<BigInt, 2> exps{params.e, c};
-    t_prime = ctx.multi_exp(bases, exps);
-  } catch (const std::domain_error&) {
-    return false;
-  }
+  const std::array<BigInt, 2> bases{ctx.product(s_values), ctx.product(h_invs)};
+  const std::array<BigInt, 2> exps{params.e, c};
+  const BigInt t_prime = ctx.multi_exp(bases, exps);
   return gq_challenge(t_prime.to_bytes_be(), z_bytes) == c;
-}
-
-bool gq_batch_verify(const GqParams& params, std::span<const std::uint32_t> ids,
-                     std::span<const BigInt> s_values, const BigInt& c,
-                     std::span<const std::uint8_t> z_bytes) {
-  return gq_batch_verify(params, mpint::ModContext(params.n), ids, s_values, c, z_bytes);
 }
 
 std::size_t gq_signature_bits(const GqParams& params) {

@@ -11,6 +11,10 @@
 // respond (Round 2: all signers share the challenge c = H(T || Z) with
 // T = prod t_i), enabling the n-signature batch check
 //   c == H((prod s_i)^e * (prod H(U_i))^{-c} mod n || Z).
+//
+// H(U) is a fixed public value per member, so verifiers hold each signer as
+// a GqIdentity (U, H(U), H(U)^{-1} mod n) built once; verification then
+// costs no hashing or inversion beyond the challenge itself.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +41,18 @@ struct GqParams {
 /// identities). Deterministic; domain-separated from message hashing.
 [[nodiscard]] BigInt gq_hash_id(const GqParams& params, std::uint32_t id);
 
+/// A signer as its verifiers hold it: the identity U with H(U) and
+/// H(U)^{-1} mod n precomputed.
+struct GqIdentity {
+  std::uint32_t id = 0;
+  BigInt h;      ///< H(U) == gq_hash_id(params, id)
+  BigInt h_inv;  ///< H(U)^{-1} mod n
+};
+
+/// Builds U's identity: one hash expansion and one extended Euclid, which
+/// both checks that H(U) is a unit and yields its inverse.
+[[nodiscard]] GqIdentity gq_identity(const GqParams& params, std::uint32_t id);
+
 /// Challenge hash c = H(first || second), mapping into a positive integer of
 /// at most 256 bits (the paper's l-bit one-way hash H).
 [[nodiscard]] BigInt gq_challenge(std::span<const std::uint8_t> first,
@@ -58,9 +74,9 @@ class GqPkg {
 
   [[nodiscard]] const GqParams& params() const { return params_; }
 
-  /// Extract: S_ID = H(ID)^d mod n. In deployment this travels over a
-  /// secure channel to the user.
-  [[nodiscard]] BigInt extract(std::uint32_t id) const;
+  /// Extract: S_ID = H(ID)^d mod n, from the identity's precomputed H(ID).
+  /// In deployment this travels over a secure channel to the user.
+  [[nodiscard]] BigInt extract(const GqIdentity& identity) const;
 
  private:
   mpint::GqModulus key_;
@@ -105,21 +121,15 @@ class GqSigner {
 /// Verifies a standalone signature: c == H(s^e * H(ID)^{-c} || M), reusing
 /// the caller's mod-n context.
 [[nodiscard]] bool gq_verify(const GqParams& params, const mpint::ModContext& ctx,
-                             std::uint32_t id, std::span<const std::uint8_t> message,
+                             const GqIdentity& signer, std::span<const std::uint8_t> message,
                              const GqSignature& sig);
-/// Compatibility shim: derives a transient mod-n context per call.
-[[nodiscard]] bool gq_verify(const GqParams& params, std::uint32_t id,
-                             std::span<const std::uint8_t> message, const GqSignature& sig);
 
 /// Batch verification (Eq. 2 of the paper). All signers share challenge `c`;
 /// `z_bytes` is the serialized Z that was hashed into the challenge.
-/// Checks c == H((prod s_i)^e * (prod H(U_i))^{-c} mod n || Z).
+/// Checks c == H((prod s_i)^e * (prod H(U_i)^{-1})^c mod n || Z), which is
+/// the paper's residue since (prod H(U_i))^{-1} = prod H(U_i)^{-1} mod n.
 [[nodiscard]] bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
-                                   std::span<const std::uint32_t> ids,
-                                   std::span<const BigInt> s_values, const BigInt& c,
-                                   std::span<const std::uint8_t> z_bytes);
-/// Compatibility shim: derives a transient mod-n context per call.
-[[nodiscard]] bool gq_batch_verify(const GqParams& params, std::span<const std::uint32_t> ids,
+                                   std::span<const GqIdentity> signers,
                                    std::span<const BigInt> s_values, const BigInt& c,
                                    std::span<const std::uint8_t> z_bytes);
 

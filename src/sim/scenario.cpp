@@ -464,8 +464,10 @@ MultiGroupMetrics MultiGroupRunner::run() {
   const obs::Span obs_span("sim.multigroup", "sim");
 #endif
 
-  // Group construction (authorities, sessions) is serial and cheap next to
-  // the runs; bodies then only touch their own group + the executor.
+  // Group construction is serial and not cheap: each group's Authority runs
+  // the paper's Setup (prime searches for p, q and n) and every member's GQ
+  // enrollment, which on short runs rivals the protocol work. Bodies then
+  // only touch their own group + the executor.
   std::vector<std::unique_ptr<Group>> groups;
   groups.reserve(cfg_.groups);
   for (std::size_t g = 0; g < cfg_.groups; ++g) {

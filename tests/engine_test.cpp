@@ -244,8 +244,11 @@ TEST(Executor, ExplicitShardCountPreservesScheduleAndCounters) {
       });
     }
     executor.drain();
-    std::sort(wakes.begin(), wakes.end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
+    // Order by (time, run id): runs that wake at the same instant on
+    // different shards record in thread order.
+    std::sort(wakes.begin(), wakes.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+    });
     return std::make_tuple(wakes, executor.resumes(), executor.max_batch());
   };
 

@@ -223,7 +223,8 @@ TEST(TauReuseAttack, RecoversLongTermSecretFromTwoLeaves) {
   hash::HmacDrbg rng(1, "forge");
   const sig::GqSigner forger(params.gq, victim, recovered);
   const std::vector<std::uint8_t> msg = {'p', 'w', 'n'};
-  EXPECT_TRUE(sig::gq_verify(params.gq, victim, msg, forger.sign(msg, rng)));
+  EXPECT_TRUE(sig::gq_verify(params.gq, *params.ctx_n, sig::gq_identity(params.gq, victim), msg,
+                             forger.sign(msg, rng)));
 }
 
 TEST(TauReuseAttack, RefreshAllCountermeasureBlocksIt) {

@@ -139,6 +139,85 @@ TEST(FormKeyMaterial, KeysDifferAcrossSeedsAndRuns) {
   EXPECT_NE(a.key(), first);
 }
 
+// --- Lazy baseline credentials -------------------------------------------
+
+constexpr std::uint64_t kLazySeed = 8080;
+
+// Everything observable about a proposed-scheme session across form, join
+// and leave: per op the key, rounds, retransmissions and bits sent; then
+// every member's GQ secret.
+std::vector<BigInt> proposed_transcript(Authority& authority) {
+  GroupSession session(authority, Scheme::kProposed, make_ids(5, 400), /*seed=*/31);
+  std::vector<BigInt> out;
+  auto record = [&](const RunResult& r) {
+    EXPECT_TRUE(r.success);
+    out.push_back(r.key);
+    out.push_back(BigInt{static_cast<std::uint64_t>(r.rounds)});
+    out.push_back(BigInt{static_cast<std::uint64_t>(r.retransmissions)});
+    std::uint64_t tx_bits = 0;
+    for (const MemberCtx& m : session.members()) tx_bits += m.ledger.tx_bits;
+    out.push_back(BigInt{tx_bits});
+  };
+  record(session.form());
+  record(session.join(499));
+  record(session.leave(402));
+  for (const MemberCtx& m : session.members()) out.push_back(m.cred.gq_secret);
+  return out;
+}
+
+TEST(LazyBaselines, ProposedRunIgnoresWhichBaselinesWereBuilt) {
+  Authority fresh(SecurityProfile::kTest, kLazySeed);
+  const std::vector<BigInt> reference = proposed_transcript(fresh);
+  for (const Scheme baseline : {Scheme::kBdSok, Scheme::kBdDsa, Scheme::kBdEcdsa}) {
+    Authority authority(SecurityProfile::kTest, kLazySeed);
+    GroupSession first(authority, baseline, make_ids(3, 300), /*seed=*/5);
+    ASSERT_TRUE(first.form().success) << scheme_name(baseline);
+    EXPECT_EQ(proposed_transcript(authority), reference) << scheme_name(baseline);
+  }
+}
+
+TEST(LazyBaselines, BaselinesWorkInEitherBuildOrder) {
+  const std::vector<Scheme> forward{Scheme::kBdSok, Scheme::kBdDsa, Scheme::kBdEcdsa};
+  const std::vector<Scheme> backward(forward.rbegin(), forward.rend());
+  // Per scheme, the first member's credential: a baseline's substream must
+  // not depend on the order the baselines were built in.
+  std::map<Scheme, BigInt> cred_value;
+  for (const auto& order : {forward, backward}) {
+    Authority authority(SecurityProfile::kTest, kLazySeed);
+    for (const Scheme scheme : order) {
+      GroupSession session(authority, scheme, make_ids(4, 500), /*seed=*/17);
+      ASSERT_TRUE(session.form().success) << scheme_name(scheme);
+      ASSERT_TRUE(session.join(560).success) << scheme_name(scheme);
+      ASSERT_TRUE(session.leave(501).success) << scheme_name(scheme);
+      EXPECT_EQ(session.key(), oracle_key(session)) << scheme_name(scheme);
+
+      const MemberCredentials& cred = session.members().front().cred;
+      const BigInt value = scheme == Scheme::kBdSok   ? cred.sok_secret.x
+                           : scheme == Scheme::kBdDsa ? cred.dsa_cert.sig_s
+                                                      : cred.ecdsa_cert.sig_s;
+      EXPECT_FALSE(value.is_zero()) << scheme_name(scheme);
+      const auto [it, inserted] = cred_value.emplace(scheme, value);
+      if (!inserted) EXPECT_EQ(it->second, value) << scheme_name(scheme);
+    }
+  }
+}
+
+TEST(LazyBaselines, ProposedEnrollmentCostsOneExponentiation) {
+  Authority authority(SecurityProfile::kTest, kLazySeed);
+  for (const Scheme scheme : {Scheme::kProposed, Scheme::kSsn}) {
+    const mpint::OpCounts before = mpint::op_counts();
+    const MemberCredentials cred = authority.enroll(77, scheme);
+    const mpint::OpCounts after = mpint::op_counts();
+    // Extract's S_U = H(U)^d; no baseline is built or enrolled.
+    EXPECT_EQ(after.exps - before.exps, 1U) << scheme_name(scheme);
+    EXPECT_EQ(after.multi_exps - before.multi_exps, 0U) << scheme_name(scheme);
+
+    const sig::GqParams& gq = authority.params().gq;
+    EXPECT_EQ(cred.gq_identity.h, sig::gq_hash_id(gq, 77));
+    EXPECT_EQ(authority.params().ctx_n->exp(cred.gq_secret, gq.e), cred.gq_identity.h);
+  }
+}
+
 TEST(BdMath, Lemma1AndReconstruction) {
   const SystemParams& params = test_authority().params();
   hash::HmacDrbg rng(5, "bdmath");
