@@ -1,10 +1,13 @@
 #include "gka/dynamic.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "energy/profiles.h"
 #include "gka/bd_math.h"
+#include "net/parallel.h"
 #include "symc/sealed_box.h"
 
 namespace idgka::gka {
@@ -99,13 +102,6 @@ RingTable get_ring_table(const net::Payload& payload) {
     tbl.t[id] = payload.get_int("tbl_t" + std::to_string(i));
   }
   return tbl;
-}
-
-MemberCtx* find_member(std::span<MemberCtx> members, std::uint32_t id) {
-  for (MemberCtx& m : members) {
-    if (m.cred.id == id) return &m;
-  }
-  return nullptr;
 }
 
 void check_ring_order(std::span<MemberCtx> members) {
@@ -359,14 +355,34 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
   check_ring_order(members);
   const std::vector<std::uint32_t>& old_ring = members[0].ring;
 
-  // Survivor ring in original order, with original 1-based positions.
+  // Everything a survivor computes during the run. Apart from its DRBG and
+  // energy ledger, a member's state is written only after every survivor
+  // verified, so a failed departure leaves no member half-updated.
+  struct Survivor {
+    MemberCtx* m = nullptr;
+    bool refresh = false;
+    BigInt r, tau, t;  // this run's r and GQ commitment
+    BigInt z;          // refreshed z' = g^r (refreshers only)
+    // Its view of z_j / t_j in survivor order: a refreshed value it holds
+    // (own, or its received round-1 copy), else its stored table entry.
+    std::vector<const BigInt*> z_view, t_view;
+    BigInt x, s, z_prod, c, key;
+  };
+
+  // Survivor ring in original order (the member span is in ring order).
+  // Refresh set: odd-indexed survivors (paper, 1-based positions) plus any
+  // survivor without a stored GQ commitment (recent joiners — see header).
   std::vector<std::uint32_t> survivors;
-  std::vector<std::size_t> survivor_pos;
+  std::vector<Survivor> state;
   for (std::size_t i = 0; i < old_ring.size(); ++i) {
-    if (std::find(leaver_ids.begin(), leaver_ids.end(), old_ring[i]) == leaver_ids.end()) {
-      survivors.push_back(old_ring[i]);
-      survivor_pos.push_back(i + 1);  // 1-based, paper indexing
+    if (std::find(leaver_ids.begin(), leaver_ids.end(), old_ring[i]) != leaver_ids.end()) {
+      continue;
     }
+    MemberCtx& m = members[i];
+    survivors.push_back(m.cred.id);
+    Survivor& v = state.emplace_back();
+    v.m = &m;
+    v.refresh = refresh_all || (i + 1) % 2 == 1 || m.tau.is_zero();
   }
   if (survivors.size() < 2) {
     throw std::invalid_argument("run_departure: fewer than 2 survivors");
@@ -375,108 +391,106 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
     throw std::invalid_argument("run_departure: no listed leaver is in the ring");
   }
   const std::size_t m_count = survivors.size();
+  std::unordered_map<std::uint32_t, std::size_t> position;
   // The survivors' public identities, in survivor-ring order, for the batch
   // checks below.
   std::vector<sig::GqIdentity> roster;
   roster.reserve(m_count);
-  for (const std::uint32_t id : survivors) {
-    roster.push_back(find_member(members, id)->cred.gq_identity);
+  for (std::size_t k = 0; k < m_count; ++k) {
+    position.emplace(survivors[k], k);
+    roster.push_back(state[k].m->cred.gq_identity);
   }
+  const gka::GroupCtx grp = params.group();
   const std::size_t z_bits = params.element_bits();
   const std::size_t t_bits = params.gq_t_bits();
   const std::size_t s_bits = params.gq_s_bits();
 
-  // Refresh set: odd-indexed survivors (paper) plus any survivor without a
-  // stored GQ commitment (recent joiners — see header).
-  auto needs_refresh = [&](std::size_t k) {
-    if (refresh_all) return true;
-    if (survivor_pos[k] % 2 == 1) return true;
-    const MemberCtx* m = find_member(members, survivors[k]);
-    return m != nullptr && m->tau.is_zero();
-  };
-
   // ---------------- Round 1: refreshers broadcast new (z', t').
-  std::vector<RoundSend> round1;
-  for (std::size_t k = 0; k < m_count; ++k) {
-    if (!needs_refresh(k)) continue;
-    MemberCtx& m = *find_member(members, survivors[k]);
-    m.r = mpint::random_range(*m.rng, BigInt{1}, params.grp.q);
+  std::vector<RoundSend> r1_slots(m_count);
+  net::parallel_for_each(m_count, [&](std::size_t k) {
+    Survivor& v = state[k];
+    MemberCtx& m = *v.m;
+    if (!v.refresh) {
+      v.r = m.r;
+      v.tau = m.tau;
+      v.t = m.t;
+      return;
+    }
+    v.r = mpint::random_range(*m.rng, BigInt{1}, params.grp.q);
     m.ledger.record(Op::kModExp);
-    const BigInt z = params.gpow(m.r);
+    v.z = params.gpow(v.r);
     const sig::GqSigner signer(params.gq, m.cred.id, m.cred.gq_secret, params.ctx_n);
     const auto commitment = signer.commit(*m.rng);  // charged within SignGenGq
-    m.tau = commitment.tau;
-    m.t = commitment.t;
-    m.z_map[m.cred.id] = z;
-    m.t_map[m.cred.id] = m.t;
+    v.tau = commitment.tau;
+    v.t = commitment.t;
 
-    net::Message msg;
+    net::Message& msg = r1_slots[k].message;
     msg.sender = m.cred.id;
     msg.type = std::string(label) + "-r1";
     msg.payload.put_u32("id", m.cred.id);
-    msg.payload.put_int("z", z);
-    msg.payload.put_int("t", m.t);
+    msg.payload.put_int("z", v.z);
+    msg.payload.put_int("t", v.t);
     msg.declared_bits = energy::wire::kIdBits + z_bits + t_bits;
-    round1.push_back(RoundSend{std::move(msg), survivors});
+    r1_slots[k].group = survivors;
+  });
+  std::vector<RoundSend> round1;
+  for (std::size_t k = 0; k < m_count; ++k) {
+    if (state[k].refresh) round1.push_back(std::move(r1_slots[k]));
   }
-  {
-    const RoundResult r1 = exchange_round(network, round1, survivors);
-    result.retransmissions += r1.retransmissions;
-    if (!r1.complete) return result;
-    ++result.rounds;
-    for (const std::uint32_t id : survivors) {
-      MemberCtx& m = *find_member(members, id);
-      const auto it = r1.collected.find(id);
-      if (it == r1.collected.end()) continue;
-      for (const auto& [sender, msg] : it->second) {
-        m.z_map[sender] = msg.payload.get_int("z");
-        m.t_map[sender] = msg.payload.get_int("t");
-      }
-    }
-  }
+  const RoundResult r1 = exchange_round(network, round1, survivors);
+  result.retransmissions += r1.retransmissions;
+  if (!r1.complete) return result;
+  ++result.rounds;
 
   // ---------------- Round 2: X' over the survivor ring + shared-challenge
-  // signatures (Eqs. 10/12).
-  struct LocalR2 {
-    BigInt x;
-    BigInt s;
-    BigInt z_prod;
-    BigInt c;
-  };
-  std::vector<LocalR2> locals(m_count);
-  std::vector<RoundSend> round2;
-  for (std::size_t k = 0; k < m_count; ++k) {
-    MemberCtx& m = *find_member(members, survivors[k]);
-    const BigInt& z_next = m.z_map.at(survivors[(k + 1) % m_count]);
-    const BigInt& z_prev = m.z_map.at(survivors[(k + m_count - 1) % m_count]);
-    m.ledger.record(Op::kModExp);
-    locals[k].x = bd::compute_x(params.group(), z_next, z_prev, m.r);
-
-    std::vector<BigInt> z_vals;
-    std::vector<BigInt> t_vals;
-    z_vals.reserve(m_count);
-    t_vals.reserve(m_count);
-    for (const std::uint32_t id : survivors) {
-      z_vals.push_back(m.z_map.at(id));
-      t_vals.push_back(m.t_map.at(id));
+  // signatures (Eqs. 10/12). Each survivor first takes the refreshed
+  // (z', t') from its own received copies.
+  std::vector<RoundSend> round2(m_count);
+  net::parallel_for_each(m_count, [&](std::size_t k) {
+    Survivor& v = state[k];
+    MemberCtx& m = *v.m;
+    v.z_view.assign(m_count, nullptr);
+    v.t_view.assign(m_count, nullptr);
+    if (v.refresh) {
+      v.z_view[k] = &v.z;
+      v.t_view[k] = &v.t;
     }
-    const BigInt z_prod = params.ctx_p->product(z_vals);
+    if (const auto inbox = r1.collected.find(m.cred.id); inbox != r1.collected.end()) {
+      for (const auto& [sender, msg] : inbox->second) {
+        const std::size_t j = position.at(sender);
+        v.z_view[j] = &msg.payload.get_int("z");
+        v.t_view[j] = &msg.payload.get_int("t");
+      }
+    }
+    std::vector<BigInt> z_vals(m_count);
+    std::vector<BigInt> t_vals(m_count);
+    for (std::size_t j = 0; j < m_count; ++j) {
+      if (v.z_view[j] == nullptr) {
+        v.z_view[j] = &m.z_map.at(survivors[j]);
+        v.t_view[j] = &m.t_map.at(survivors[j]);
+      }
+      z_vals[j] = *v.z_view[j];
+      t_vals[j] = *v.t_view[j];
+    }
+
+    m.ledger.record(Op::kModExp);
+    v.x = bd::compute_x(grp, z_vals[(k + 1) % m_count], z_vals[(k + m_count - 1) % m_count], v.r);
+    v.z_prod = params.ctx_p->product(z_vals);
     const BigInt t_prod = params.ctx_n->product(t_vals);
-    locals[k].z_prod = z_prod;
-    locals[k].c = sig::gq_challenge(t_prod.to_bytes_be(), z_prod.to_bytes_be());
+    v.c = sig::gq_challenge(t_prod.to_bytes_be(), v.z_prod.to_bytes_be());
     m.ledger.record(Op::kSignGenGq);
     const sig::GqSigner signer(params.gq, m.cred.id, m.cred.gq_secret, params.ctx_n);
-    locals[k].s = signer.respond({m.tau, m.t}, locals[k].c);
+    v.s = signer.respond({v.tau, v.t}, v.c);
 
-    net::Message msg;
+    net::Message& msg = round2[k].message;
     msg.sender = m.cred.id;
     msg.type = std::string(label) + "-r2";
     msg.payload.put_u32("id", m.cred.id);
-    msg.payload.put_int("x", locals[k].x);
-    msg.payload.put_int("s", locals[k].s);
+    msg.payload.put_int("x", v.x);
+    msg.payload.put_int("s", v.s);
     msg.declared_bits = energy::wire::kIdBits + z_bits + s_bits;
-    round2.push_back(RoundSend{std::move(msg), survivors});
-  }
+    round2[k].group = survivors;
+  });
   // Controller (first survivor) broadcasts last.
   std::rotate(round2.begin(), round2.begin() + 1, round2.end());
   const RoundResult r2 = exchange_round(network, round2, survivors);
@@ -485,37 +499,50 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
   ++result.rounds;
 
   // ---------------- Verification + key.
-  BigInt agreed_key;
-  for (std::size_t k = 0; k < m_count; ++k) {
-    MemberCtx& m = *find_member(members, survivors[k]);
+  std::atomic<bool> all_ok{true};
+  net::parallel_for_each(m_count, [&](std::size_t k) {
+    Survivor& v = state[k];
+    MemberCtx& m = *v.m;
     std::vector<BigInt> x_ring(m_count);
     std::vector<BigInt> s_ring(m_count);
-    x_ring[k] = locals[k].x;
-    s_ring[k] = locals[k].s;
+    x_ring[k] = v.x;
+    s_ring[k] = v.s;
     for (const auto& [sender, msg] : r2.collected.at(m.cred.id)) {
-      const auto it = std::find(survivors.begin(), survivors.end(), sender);
-      const std::size_t j = static_cast<std::size_t>(it - survivors.begin());
+      const std::size_t j = position.at(sender);
       x_ring[j] = msg.payload.get_int("x");
       s_ring[j] = msg.payload.get_int("s");
     }
     m.ledger.record(Op::kSignVerGq);
-    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, roster, s_ring, locals[k].c,
-                               locals[k].z_prod.to_bytes_be())) {
-      return result;
+    if (!sig::gq_batch_verify(params.gq, *params.ctx_n, roster, s_ring, v.c,
+                              v.z_prod.to_bytes_be()) ||
+        !bd::lemma1_holds(grp, x_ring)) {
+      all_ok.store(false, std::memory_order_relaxed);
+      return;
     }
-    if (!bd::lemma1_holds(params.group(), x_ring)) return result;
-
     m.ledger.record(Op::kModExp);
     std::vector<BigInt> z_ring(m_count);
-    for (std::size_t j = 0; j < m_count; ++j) z_ring[j] = m.z_map.at(survivors[j]);
-    m.key = bd::compute_key(params.group(), z_ring, x_ring, k, m.r);
-    if (k == 0) {
-      agreed_key = m.key;
-    } else if (m.key != agreed_key) {
+    for (std::size_t j = 0; j < m_count; ++j) z_ring[j] = *v.z_view[j];
+    v.key = bd::compute_key(grp, z_ring, x_ring, k, v.r);
+  });
+  if (!all_ok.load()) return result;
+  for (const Survivor& v : state) {
+    if (v.key != state[0].key) {
       throw std::logic_error("run_departure: members disagree on the key");
     }
+  }
 
-    // State update: shrink the ring and drop the leavers.
+  // ---------------- Commit: new secrets, refreshed z/t, shrunk ring.
+  for (Survivor& v : state) {
+    MemberCtx& m = *v.m;
+    for (std::size_t j = 0; j < m_count; ++j) {
+      if (!state[j].refresh) continue;
+      m.z_map[survivors[j]] = *v.z_view[j];
+      m.t_map[survivors[j]] = *v.t_view[j];
+    }
+    m.r = std::move(v.r);
+    m.tau = std::move(v.tau);
+    m.t = std::move(v.t);
+    m.key = std::move(v.key);
     m.ring = survivors;
     for (const std::uint32_t gone : leaver_ids) {
       m.z_map.erase(gone);
@@ -524,7 +551,7 @@ RunResult run_departure(const SystemParams& params, std::span<MemberCtx> members
   }
 
   result.success = true;
-  result.key = agreed_key;
+  result.key = state[0].m->key;
   return result;
 }
 

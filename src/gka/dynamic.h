@@ -44,7 +44,9 @@ namespace idgka::gka {
 
 /// Leave: removes `leaver_id` from the ring. `members` is the current group
 /// including the leaver; survivor states are updated, the leaver's state is
-/// invalidated. Requires >= 3 members (2 must remain).
+/// left as it was. A failed run changes no member's ring, key, secrets or
+/// z/t tables (only DRBGs and energy ledgers advance). Requires >= 3
+/// members (2 must remain).
 /// `refresh_all_commitments` is the countermeasure to the tau-reuse
 /// weakness (DESIGN.md §8): every survivor draws a fresh GQ commitment
 /// instead of only the odd-indexed ones (costs |even| extra mod-exps).
@@ -52,7 +54,8 @@ namespace idgka::gka {
                                   std::uint32_t leaver_id, net::Network& network,
                                   bool refresh_all_commitments = false);
 
-/// Partition: removes all of `leaver_ids`. Requires >= 2 survivors.
+/// Partition: removes all of `leaver_ids`. Requires >= 2 survivors. Same
+/// all-or-nothing state update as run_leave.
 [[nodiscard]] RunResult run_partition(const SystemParams& params,
                                       std::span<MemberCtx> members,
                                       const std::vector<std::uint32_t>& leaver_ids,

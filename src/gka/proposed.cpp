@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "energy/profiles.h"
 #include "gka/bd_math.h"
@@ -31,13 +32,16 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
   const std::size_t n = members.size();
   if (n < 2) throw std::invalid_argument("run_proposed: need at least 2 members");
 
-  // Ring order, and the public identities every verifier checks the batch
-  // against: gathered once, shared read-only by the parallel verifiers.
+  // Ring order (member idx sits at ring position idx), and the public
+  // identities every verifier checks the batch against: gathered once,
+  // shared read-only by the parallel members.
   std::vector<std::uint32_t> ring;
   std::vector<sig::GqIdentity> roster;
+  std::unordered_map<std::uint32_t, std::size_t> position;
   ring.reserve(n);
   roster.reserve(n);
   for (const MemberCtx& m : members) {
+    position.emplace(m.cred.id, ring.size());
     ring.push_back(m.cred.id);
     roster.push_back(m.cred.gq_identity);
   }
@@ -47,11 +51,16 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
   const std::size_t t_bits = params.gq_t_bits();
   const std::size_t s_bits = params.gq_s_bits();
 
+  // Every member's work in a round depends only on its own state and the
+  // messages it received, so each round's member loop runs fork-join
+  // parallel across the simulated nodes; outgoing messages land in
+  // pre-sized slots in ring order, so the send order is the serial one.
+
   // ---------------------------------------------------------------- Round 1
   // z_i = g^{r_i}, t_i = tau_i^e; broadcast m_i = U_i || z_i || t_i.
-  std::vector<RoundSend> round1;
-  round1.reserve(n);
-  for (MemberCtx& m : members) {
+  std::vector<RoundSend> round1(n);
+  net::parallel_for_each(n, [&](std::size_t idx) {
+    MemberCtx& m = members[idx];
     m.ring = ring;
     m.r = mpint::random_range(*m.rng, BigInt{1}, params.grp.q);
     m.ledger.record(Op::kModExp);  // z_i = g^{r_i}
@@ -69,33 +78,26 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     m.z_map[m.cred.id] = z;
     m.t_map[m.cred.id] = m.t;
 
-    net::Message msg;
+    net::Message& msg = round1[idx].message;
     msg.sender = m.cred.id;
     msg.type = "proposed-r1";
     msg.payload.put_u32("id", m.cred.id);
     msg.payload.put_int("z", z);
     msg.payload.put_int("t", m.t);
     msg.declared_bits = energy::wire::kIdBits + z_bits + t_bits;
-    round1.push_back(RoundSend{std::move(msg), ring});
-  }
+    round1[idx].group = ring;
+  });
   const RoundResult r1 = exchange_round(network, round1, ring);
   result.retransmissions += r1.retransmissions;
   if (!r1.complete) return result;
   ++result.rounds;
 
-  for (MemberCtx& m : members) {
-    for (const auto& [sender, msg] : r1.collected.at(m.cred.id)) {
-      m.z_map[sender] = msg.payload.get_int("z");
-      m.t_map[sender] = msg.payload.get_int("t");
-    }
-  }
-
   // ---------------------------------------------------------------- Round 2
-  // X_i, Z, T, c = H(T || Z), s_i; broadcast m'_i = U_i || X_i || s_i.
-  // U_1 (ring[0], the trusted controller) broadcasts last; the exchange
-  // helper preserves the send order.
-  std::vector<RoundSend> round2;
-  round2.reserve(n);
+  // Each member files the received (z_j, t_j), then computes X_i, Z, T,
+  // c = H(T || Z), s_i; broadcast m'_i = U_i || X_i || s_i. U_1 (ring[0],
+  // the trusted controller) broadcasts last; the exchange helper preserves
+  // the send order.
+  std::vector<RoundSend> round2(n);
   struct LocalR2 {
     BigInt x;
     BigInt s;
@@ -103,11 +105,15 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     BigInt c;
   };
   std::vector<LocalR2> locals(n);
-  for (std::size_t idx = 0; idx < n; ++idx) {
+  net::parallel_for_each(n, [&](std::size_t idx) {
     MemberCtx& m = members[idx];
-    const std::size_t i = m.ring_index();
-    const BigInt& z_next = m.z_map.at(ring[(i + 1) % n]);
-    const BigInt& z_prev = m.z_map.at(ring[(i + n - 1) % n]);
+    for (const auto& [sender, msg] : r1.collected.at(m.cred.id)) {
+      m.z_map[sender] = msg.payload.get_int("z");
+      m.t_map[sender] = msg.payload.get_int("t");
+    }
+
+    const BigInt& z_next = m.z_map.at(ring[(idx + 1) % n]);
+    const BigInt& z_prev = m.z_map.at(ring[(idx + n - 1) % n]);
     m.ledger.record(Op::kModExp);  // X_i
     locals[idx].x = bd::compute_x(grp, z_next, z_prev, m.r);
 
@@ -130,15 +136,15 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     const sig::GqSigner signer(params.gq, m.cred.id, m.cred.gq_secret, params.ctx_n);
     locals[idx].s = signer.respond({m.tau, m.t}, locals[idx].c);
 
-    net::Message msg;
+    net::Message& msg = round2[idx].message;
     msg.sender = m.cred.id;
     msg.type = "proposed-r2";
     msg.payload.put_u32("id", m.cred.id);
     msg.payload.put_int("x", locals[idx].x);
     msg.payload.put_int("s", locals[idx].s);
     msg.declared_bits = energy::wire::kIdBits + z_bits + s_bits;
-    round2.push_back(RoundSend{std::move(msg), ring});
-  }
+    round2[idx].group = ring;
+  });
   // Trusted-controller ordering: U_1 transmits after everyone else.
   std::rotate(round2.begin(), round2.begin() + 1, round2.end());
   const RoundResult r2 = exchange_round(network, round2, ring);
@@ -147,19 +153,16 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
   ++result.rounds;
 
   // ------------------------------------------- Authentication + Key
-  // Per-member verification is share-nothing (own state + received
-  // messages) and runs fork-join parallel across the simulated nodes.
   std::atomic<bool> all_ok{true};
   net::parallel_for_each(n, [&](std::size_t idx) {
     MemberCtx& m = members[idx];
     // Collect X_j and s_j in ring order (own values from locals).
     std::vector<BigInt> x_ring(n);
     std::vector<BigInt> s_ring(n);
-    const std::size_t own = m.ring_index();
-    x_ring[own] = locals[idx].x;
-    s_ring[own] = locals[idx].s;
+    x_ring[idx] = locals[idx].x;
+    s_ring[idx] = locals[idx].s;
     for (const auto& [sender, msg] : r2.collected.at(m.cred.id)) {
-      const std::size_t j = m.ring_index_of(sender);
+      const std::size_t j = position.at(sender);
       x_ring[j] = msg.payload.get_int("x");
       s_ring[j] = msg.payload.get_int("s");
     }
@@ -181,7 +184,7 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     m.ledger.record(Op::kModExp);
     std::vector<BigInt> z_ring(n);
     for (std::size_t j = 0; j < n; ++j) z_ring[j] = m.z_map.at(ring[j]);
-    m.key = bd::compute_key(grp, z_ring, x_ring, own, m.r);
+    m.key = bd::compute_key(grp, z_ring, x_ring, idx, m.r);
   });
   if (!all_ok.load()) return result;
   for (const MemberCtx& m : members) {

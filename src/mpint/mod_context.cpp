@@ -52,9 +52,11 @@ constexpr std::size_t kPoolLimbs = 16384;  // 128 KiB per thread
 class LimbArena {
  public:
   Limb* alloc(std::size_t n) {
-    if (pool_.empty()) pool_.resize(kPoolLimbs);  // once per thread
-    if (top_ + n <= pool_.size()) {
-      Limb* p = pool_.data() + top_;
+    // Once per thread, left uninitialized: only pages a frame actually
+    // touches become resident.
+    if (!pool_) pool_ = std::make_unique_for_overwrite<Limb[]>(kPoolLimbs);
+    if (top_ + n <= kPoolLimbs) {
+      Limb* p = pool_.get() + top_;
       top_ += n;
       return p;
     }
@@ -64,7 +66,7 @@ class LimbArena {
 
  private:
   friend class ArenaFrame;
-  std::vector<Limb> pool_;  // sized once, never resized: stable pointers
+  std::unique_ptr<Limb[]> pool_;  // kPoolLimbs, never reallocated: stable pointers
   std::size_t top_ = 0;
   std::vector<std::unique_ptr<Limb[]>> overflow_;
 };

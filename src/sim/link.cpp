@@ -54,11 +54,18 @@ LinkModel::Verdict LinkModel::transmit(std::size_t bits, std::uint32_t sender,
   Verdict verdict;
 
   const std::uint64_t key = (static_cast<std::uint64_t>(sender) << 32) | receiver;
-  bool& bad = bad_[key];
+  const auto it = bad_.find(key);
+  bool bad = it != bad_.end();
   if (bad) {
-    if (cfg_.p_bad_good > 0.0 && uniform() < cfg_.p_bad_good) bad = false;
+    if (cfg_.p_bad_good > 0.0 && uniform() < cfg_.p_bad_good) {
+      bad = false;
+      bad_.erase(it);
+    }
   } else {
-    if (cfg_.p_good_bad > 0.0 && uniform() < cfg_.p_good_bad) bad = true;
+    if (cfg_.p_good_bad > 0.0 && uniform() < cfg_.p_good_bad) {
+      bad = true;
+      bad_.insert(key);
+    }
   }
   const double loss = bad ? cfg_.loss_bad : cfg_.loss_good;
   if (loss > 0.0 && uniform() < loss) {

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <unordered_set>
 
 #include "mpint/random.h"
 #include "sim/scheduler.h"
@@ -69,8 +69,10 @@ class LinkModel {
 
   LinkConfig cfg_;
   mpint::XoshiroRng rng_;
-  /// Directed link (sender << 32 | receiver) -> currently in the Bad state.
-  std::map<std::uint64_t, bool> bad_;
+  /// Directed links (sender << 32 | receiver) currently in the Bad state;
+  /// every other link is Good. Holding only Bad links keeps the set as
+  /// small as the burst state, however many ids the link has carried.
+  std::unordered_set<std::uint64_t> bad_;
   std::uint64_t offered_ = 0;
   std::uint64_t dropped_ = 0;
 };

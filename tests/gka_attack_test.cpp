@@ -130,6 +130,57 @@ TEST(Tampering, JoinSignatureForgeryRejected) {
   EXPECT_FALSE(session.join(2490).success);
 }
 
+TEST(Tampering, CorruptedLeaveShareFailsAndLeavesStateUnchanged) {
+  // One survivor's Round-2 response is corrupted on its way to one other
+  // survivor. That receiver's batch check rejects it while every other
+  // survivor verifies: the departure fails, and no survivor may keep a
+  // half-applied ring, key or z table.
+  GroupSession session(test_authority(), Scheme::kProposed, make_ids(7, 2500), 6);
+  ASSERT_TRUE(session.form().success);
+  const std::vector<std::uint32_t> ids = session.member_ids();
+  const std::uint32_t leaver = ids[3];
+  const std::uint32_t victim = ids[1];
+  const std::uint32_t receiver = ids[5];
+
+  struct Snapshot {
+    std::vector<std::uint32_t> ring;
+    BigInt key;
+    std::map<std::uint32_t, BigInt> z_map;
+    std::map<std::uint32_t, BigInt> t_map;
+  };
+  std::map<std::uint32_t, Snapshot> before;
+  for (const MemberCtx& m : session.members()) {
+    before[m.cred.id] = Snapshot{m.ring, m.key, m.z_map, m.t_map};
+  }
+
+  session.mutable_network().set_tamper_hook([&](net::Message& msg, std::uint32_t to) {
+    if (msg.type == "leave-r2" && msg.sender == victim && to == receiver) {
+      net::Payload fresh;
+      fresh.put_u32("id", msg.payload.get_u32("id"));
+      fresh.put_int("x", msg.payload.get_int("x"));
+      fresh.put_int("s", msg.payload.get_int("s") + mpint::BigInt{1});
+      msg.payload = fresh;
+    }
+    return true;
+  });
+  EXPECT_FALSE(session.leave(leaver).success);
+
+  ASSERT_EQ(session.members().size(), ids.size());
+  for (const MemberCtx& m : session.members()) {
+    const Snapshot& old = before.at(m.cred.id);
+    EXPECT_EQ(m.ring, old.ring) << m.cred.id;
+    EXPECT_EQ(m.key, old.key) << m.cred.id;
+    EXPECT_EQ(m.z_map, old.z_map) << m.cred.id;
+    EXPECT_EQ(m.t_map, old.t_map) << m.cred.id;
+  }
+
+  // The untouched state is consistent: the same departure succeeds once
+  // the medium is honest again.
+  session.mutable_network().set_tamper_hook(nullptr);
+  ASSERT_TRUE(session.leave(leaver).success);
+  for (const MemberCtx& m : session.members()) EXPECT_EQ(m.key, session.key());
+}
+
 // ---------------------------------------------------------------------------
 // The tau-reuse secret-recovery attack (paper weakness, reproduced).
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // cost, parallel-runner determinism.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "gka/complexity.h"
 #include "gka/proposed.h"
 #include "gka/session.h"
@@ -112,6 +115,45 @@ TEST(ParallelRunner, PropagatesExceptions) {
                                         if (i == 33) throw std::runtime_error("boom");
                                       }),
                std::runtime_error);
+  // Every chunk throwing still rethrows exactly one exception.
+  EXPECT_THROW(net::parallel_for_each(64, [&](std::size_t) { throw std::logic_error("all"); }),
+               std::logic_error);
+  // The pool keeps serving calls after a failed one.
+  std::vector<std::atomic<int>> hits(97);
+  net::parallel_for_each(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelRunner, ConcurrentCallersEachCoverTheirRange) {
+  // Plain threads calling at once (as executor shards do) share the pool;
+  // every call still visits each of its indices exactly once.
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 500;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(1 + (call + t) % 40));
+        net::parallel_for_each(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (const auto& h : hits) {
+          if (h.load() != 1) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ParallelRunner, NestedCallsComplete) {
+  constexpr std::size_t kOuter = 9;
+  constexpr std::size_t kInner = 13;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  net::parallel_for_each(kOuter, [&](std::size_t i) {
+    net::parallel_for_each(kInner, [&](std::size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace
