@@ -2,8 +2,8 @@
 // each forming and churning through joins/leaves/partition/merge — run (a)
 // sequentially, one standalone driver after another, and (b) concurrently
 // as engine::ProtocolRuns multiplexed over ONE scheduler, their rounds
-// interleaved by virtual-time events and resumed in parallel batches
-// across the worker pool.
+// interleaved by virtual-time events and resumed in same-instant batches.
+// Both legs run each member's round work on the same net:: pool.
 //
 // Asserts (exit non-zero on failure):
 //   * every group converges in both modes (form + all rekeys, keys agree);
@@ -13,9 +13,13 @@
 //     IDGKA_THREADS=1 and default-thread runs for cross-schedule identity;
 //   * rounds genuinely interleave: the widest same-instant resume batch
 //     equals the group count;
-//   * with >= 2 workers, concurrent aggregate wall time beats the 16
-//     sequential runs by >= 1.5x (the gate is skipped — reported but not
-//     enforced — on single-worker hosts, where no wall-time win exists).
+//   * multiplexing is cheap: the concurrent leg's wall time is at most
+//     1.25x the sequential leg's (each leg's best of 5 alternating runs),
+//     enforced at every thread count. Both legs
+//     use the same member pool, so this bounds what interleaving 16 groups
+//     on one executor costs; it is not a speedup claim and means the same
+//     on 1 and N cores. (Thread scaling of the concurrent leg is reported
+//     by CI from the IDGKA_THREADS=1 and default runs, not gated.)
 //
 // Writes BENCH_engine.json; `--metrics-out FILE` additionally writes the
 // deterministic multi-group metrics JSON alone (no wall times) for
@@ -23,12 +27,13 @@
 // (CI's cross-thread smoke runs 16x256 = 4096 members); `--metrics-only`
 // skips the sequential baseline and wall-time gates — the scaled smoke
 // checks schedule identity, not speedup.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "net/parallel.h"
@@ -41,6 +46,10 @@ namespace {
 constexpr std::size_t kGroups = 16;
 constexpr std::size_t kMembers = 32;
 constexpr std::uint64_t kSeed = 20260730;
+/// Gate: concurrent wall <= this x sequential wall, at any thread count.
+constexpr double kMaxConcOverSeq = 1.25;
+/// Timed runs per leg; the gate compares each leg's best run.
+constexpr int kReps = 5;
 
 sim::MultiGroupConfig make_config(std::uint64_t seed, std::size_t members) {
   sim::MultiGroupConfig cfg;
@@ -156,36 +165,48 @@ int main(int argc, char** argv) {
     return converged ? 0 : 1;
   }
 
-  bool seq_converged = false;
-  const double seq_ms = run_sequential(cfg, seq_converged);
+  // The legs alternate kReps times and the gate compares their best runs:
+  // host noise only ever adds time, and a single ~0.5 s sample per leg is
+  // at the mercy of a shared host. The concurrent repeats double as the
+  // deterministic-repeat check.
+  std::vector<double> seq_samples;
+  std::vector<double> conc_samples;
+  bool seq_converged = true;
+  bool deterministic = true;
+  sim::MultiGroupMetrics metrics;
+  for (int rep = 0; rep < kReps; ++rep) {
+    bool converged = false;
+    seq_samples.push_back(run_sequential(cfg, converged));
+    seq_converged = seq_converged && converged;
+    const auto t0 = std::chrono::steady_clock::now();
+    sim::MultiGroupMetrics run = sim::MultiGroupRunner(cfg).run();
+    conc_samples.push_back(ms_since(t0));
+    if (rep == 0) {
+      metrics = std::move(run);
+    } else {
+      deterministic = deterministic && run.to_json() == metrics.to_json();
+    }
+  }
+  const double seq_ms = *std::min_element(seq_samples.begin(), seq_samples.end());
+  const double conc_ms = *std::min_element(conc_samples.begin(), conc_samples.end());
+  const bool conc_converged = metrics.all_groups_agree() && metrics.convergence() == 1.0;
   std::printf("%-34s %10.1f ms  converged=%s\n", "sequential (16 standalone drivers)",
               seq_ms, seq_converged ? "yes" : "NO");
-
-  auto t0 = std::chrono::steady_clock::now();
-  const sim::MultiGroupMetrics metrics = sim::MultiGroupRunner(cfg).run();
-  const double conc_ms = ms_since(t0);
-  const bool conc_converged = metrics.all_groups_agree() && metrics.convergence() == 1.0;
   std::printf("%-34s %10.1f ms  converged=%s\n", "concurrent (one engine::Executor)",
               conc_ms, conc_converged ? "yes" : "NO");
+  std::printf("(best of %d alternating runs per leg)\n", kReps);
 
-  const sim::MultiGroupMetrics repeat = sim::MultiGroupRunner(cfg).run();
-  const bool deterministic = metrics.to_json() == repeat.to_json();
   const sim::MultiGroupMetrics other_seed =
       sim::MultiGroupRunner(make_config(kSeed + 1, members)).run();
   const bool seeds_diverge = metrics.to_json() != other_seed.to_json();
 
   const double speedup = conc_ms > 0.0 ? seq_ms / conc_ms : 0.0;
   const bool interleaved = metrics.max_concurrent_runs >= kGroups;
-  // Enforce the wall-time gate only where a win is physically possible:
-  // both the worker pool AND the hardware must offer >= 2 lanes (an
-  // IDGKA_THREADS override cannot conjure cores, and the IDGKA_THREADS=1
-  // determinism leg is a correctness run, not a performance one).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool enforce_speedup = workers >= 2 && hw >= 2;
-  const bool speedup_ok = !enforce_speedup || speedup >= 1.5;
+  const double conc_over_seq = seq_ms > 0.0 ? conc_ms / seq_ms : 0.0;
+  const bool overhead_ok = conc_over_seq <= kMaxConcOverSeq;
 
-  std::printf("\nspeedup %.2fx (gate >= 1.5x %s at %zu workers)\n", speedup,
-              enforce_speedup ? "ENFORCED" : "reported only", workers);
+  std::printf("\nconcurrent/sequential wall %.2fx (gate <= %.2fx at %zu workers: %s)\n",
+              conc_over_seq, kMaxConcOverSeq, workers, overhead_ok ? "pass" : "FAIL");
   std::printf("deterministic repeat: %s | seeds diverge: %s | max concurrent runs: %zu/%zu\n",
               deterministic ? "yes" : "NO", seeds_diverge ? "yes" : "NO",
               metrics.max_concurrent_runs, kGroups);
@@ -198,15 +219,16 @@ int main(int argc, char** argv) {
                   1000.0);
 
   std::ofstream out("BENCH_engine.json");
-  char head[512];
+  char head[640];
   std::snprintf(head, sizeof head,
                 "{\"bench\":\"engine_concurrent\",\"groups\":%zu,\"members_per_group\":%zu,"
                 "\"workers\":%zu,\"sequential_wall_ms\":%.1f,\"concurrent_wall_ms\":%.1f,"
-                "\"speedup\":%.2f,\"speedup_gate\":{\"required\":1.5,\"enforced\":%s,"
-                "\"pass\":%s},\"deterministic_repeat\":%s,\"seeds_diverge\":%s,"
+                "\"speedup\":%.2f,\"speedup_gate\":{\"concurrent_over_sequential\":%.2f,"
+                "\"max_concurrent_over_sequential\":%.2f,\"pass\":%s},"
+                "\"deterministic_repeat\":%s,\"seeds_diverge\":%s,"
                 "\"interleaved\":%s,\"peak_rss_kb\":%zu,\"metrics\":",
-                kGroups, members, workers, seq_ms, conc_ms, speedup,
-                enforce_speedup ? "true" : "false", speedup_ok ? "true" : "false",
+                kGroups, members, workers, seq_ms, conc_ms, speedup, conc_over_seq,
+                kMaxConcOverSeq, overhead_ok ? "true" : "false",
                 deterministic ? "true" : "false", seeds_diverge ? "true" : "false",
                 interleaved ? "true" : "false", bench::peak_rss_kb());
   out << head << metrics.to_json() << "}\n";
@@ -222,9 +244,9 @@ int main(int argc, char** argv) {
 
   const bool ok =
       seq_converged && conc_converged && deterministic && seeds_diverge && interleaved &&
-      speedup_ok;
+      overhead_ok;
   if (!ok) {
-    std::printf("FAILED: convergence/determinism/interleaving/speedup gate violated\n");
+    std::printf("FAILED: convergence/determinism/interleaving/overhead gate violated\n");
     return 1;
   }
   std::printf("all gates passed\n");

@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -12,22 +11,12 @@ namespace idgka::engine {
 
 namespace {
 thread_local ProtocolRun* t_current_run = nullptr;
-
-constexpr std::size_t kMaxShards = 16;
-
-#if IDGKA_OBS
-std::uint64_t shard_clock(const void* sched) {
-  return static_cast<std::uint64_t>(static_cast<const sim::Scheduler*>(sched)->now());
-}
-#endif
 }  // namespace
 
 // ------------------------------------------------------------- ProtocolRun
 
-ProtocolRun::ProtocolRun(Executor& exec, std::uint64_t id, std::size_t shard_idx,
-                         std::string name, Body body)
-    : exec_(exec), id_(id), shard_idx_(shard_idx), name_(std::move(name)),
-      body_(std::move(body)) {
+ProtocolRun::ProtocolRun(Executor& exec, std::uint64_t id, std::string name, Body body)
+    : exec_(exec), id_(id), name_(std::move(name)), body_(std::move(body)) {
 #if IDGKA_OBS
   resumes_counter_ = &obs::Registry::global().counter("engine.resumes", name_);
 #endif
@@ -41,15 +30,12 @@ ProtocolRun::~ProtocolRun() {
 ProtocolRun* ProtocolRun::current() { return t_current_run; }
 
 void ProtocolRun::thread_main() {
-  Executor::Shard& shard = *exec_.shards_[shard_idx_];
-  std::unique_lock<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(exec_.mutex_);
   cv_.wait(lock, [this] {
-    return go_ || exec_.shutdown_.load(std::memory_order_relaxed);
+    return go_ || exec_.shutdown_;
   });
-  if (exec_.shutdown_.load(std::memory_order_relaxed)) {
+  if (!go_) {  // shutdown before the first resume
     state_.store(State::kFinished, std::memory_order_relaxed);
-    go_ = false;
-    shard.host_cv.notify_all();
     return;
   }
   state_.store(State::kRunning, std::memory_order_relaxed);
@@ -81,41 +67,41 @@ void ProtocolRun::thread_main() {
 
   lock.lock();
   state_.store(State::kFinished, std::memory_order_relaxed);
-  go_ = false;
-  shard.host_cv.notify_all();
+  if (go_) {  // not unwound by teardown: hand the floor back
+    go_ = false;
+    if (--exec_.unfinished_ == 0) exec_.host_cv_.notify_one();
+  }
 }
 
-void ProtocolRun::park(std::unique_lock<std::mutex>& lock) {
+void ProtocolRun::park() {
   // Emitted before the handoff (and the resume instant after it): both
   // land while this run has the floor, so their virtual timestamps are
   // deterministic.
   OBS_INSTANT("engine.park", "engine");
-  Executor::Shard& shard = *exec_.shards_[shard_idx_];
-  state_.store(State::kWaiting, std::memory_order_relaxed);
-  go_ = false;
-  shard.host_cv.notify_all();
-  cv_.wait(lock, [this] {
-    return go_ || exec_.shutdown_.load(std::memory_order_relaxed);
-  });
-  if (exec_.shutdown_.load(std::memory_order_relaxed)) throw RunAborted{};
-  state_.store(State::kRunning, std::memory_order_relaxed);
+  {
+    std::unique_lock<std::mutex> lock(exec_.mutex_);
+    state_.store(State::kWaiting, std::memory_order_relaxed);
+    go_ = false;
+    if (--exec_.unfinished_ == 0) exec_.host_cv_.notify_one();
+    cv_.wait(lock, [this] {
+      return go_ || exec_.shutdown_;
+    });
+    if (!go_) throw RunAborted{};
+    state_.store(State::kRunning, std::memory_order_relaxed);
+  }
   OBS_INSTANT("engine.resume", "engine");
 }
 
-sim::SimTime ProtocolRun::now() const { return exec_.shards_[shard_idx_]->sched->now(); }
+sim::SimTime ProtocolRun::now() const { return exec_.now(); }
 
 void ProtocolRun::sleep_until(sim::SimTime when) {
-  Executor::Shard& shard = *exec_.shards_[shard_idx_];
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  if (when <= shard.sched->now()) return;
+  if (when <= now()) return;
   arrival_sensitive_ = false;
   exec_.schedule_wake(this, when, ++wake_epoch_);
-  park(lock);
+  park();
 }
 
 void ProtocolRun::await_round(sim::SimTime timeout, bool resume_on_arrival) {
-  Executor::Shard& shard = *exec_.shards_[shard_idx_];
-  std::unique_lock<std::mutex> lock(shard.mutex);
   if (resume_on_arrival && in_flight_.load(std::memory_order_relaxed) == 0) {
     // Channel already quiet: nothing this run posted is still in flight,
     // so nothing more will ever arrive for this await — drain immediately
@@ -123,67 +109,33 @@ void ProtocolRun::await_round(sim::SimTime timeout, bool resume_on_arrival) {
     return;
   }
   arrival_sensitive_ = resume_on_arrival;
-  exec_.schedule_wake(this, shard.sched->now() + timeout, ++wake_epoch_);
-  park(lock);
+  exec_.schedule_wake(this, now() + timeout, ++wake_epoch_);
+  park();
   arrival_sensitive_ = false;
 }
 
 // ---------------------------------------------------------------- Executor
 
-Executor::Executor(sim::Scheduler& scheduler, std::size_t shards) : scheduler_(scheduler) {
-  std::size_t count = shards != 0 ? shards : net::worker_count();
-  count = std::max<std::size_t>(1, std::min(count, kMaxShards));
-  shards_.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    auto shard = std::make_unique<Shard>();
-    if (s == 0) {
-      shard->sched = &scheduler_;
-    } else {
-      shard->owned = std::make_unique<sim::Scheduler>();
-      shard->sched = shard->owned.get();
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
+Executor::Executor(sim::Scheduler& scheduler) : scheduler_(scheduler) {}
 
 Executor::~Executor() {
-  shutdown_.store(true, std::memory_order_relaxed);
   {
+    // Set under the mutex so a run thread entering its cv wait either sees
+    // shutdown_ in the predicate or gets the notify.
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& run : runs_) {
-      // Acquire/release the run's shard mutex so a thread entering a cv
-      // wait either sees shutdown_ in the predicate or gets the notify.
-      const std::lock_guard<std::mutex> shard_lock(shards_[run->shard_idx_]->mutex);
-      run->cv_.notify_all();
-    }
+    shutdown_ = true;
+    for (const auto& run : runs_) run->cv_.notify_all();
   }
   for (const auto& run : runs_) {
     if (run->thread_.joinable()) run->thread_.join();
   }
-  if (!shard_threads_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(pool_mutex_);
-      pool_stop_ = true;
-    }
-    pool_cv_.notify_all();
-    for (std::thread& t : shard_threads_) t.join();
-  }
 }
 
 ProtocolRun& Executor::submit(std::string name, ProtocolRun::Body body) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (shutdown_.load(std::memory_order_relaxed)) {
-    throw std::logic_error("engine::Executor: submit after shutdown");
-  }
-  const std::uint64_t id = next_id_++;
-  const std::size_t shard_idx = static_cast<std::size_t>(id % shards_.size());
-  runs_.emplace_back(new ProtocolRun(*this, id, shard_idx, std::move(name), std::move(body)));
-  ++submitted_;
+  if (shutdown_) throw std::logic_error("engine::Executor: submit after shutdown");
+  runs_.emplace_back(new ProtocolRun(*this, next_id_++, std::move(name), std::move(body)));
   ProtocolRun* run = runs_.back().get();
-  {
-    const std::lock_guard<std::mutex> shard_lock(shards_[shard_idx]->mutex);
-    make_runnable(run);
-  }
+  make_runnable(run);
   return *run;
 }
 
@@ -194,22 +146,22 @@ void Executor::make_runnable(ProtocolRun* run) {
     return;
   }
   run->queued_ = true;
-  shards_[run->shard_idx_]->runnable.push_back(run);
+  runnable_.push_back(run);
 }
 
 void Executor::schedule_wake(ProtocolRun* run, sim::SimTime when, std::uint64_t epoch) {
   run->pending_wakes_.fetch_add(1, std::memory_order_relaxed);
-  shards_[run->shard_idx_]->sched->at(
-      when, [this, run, epoch, alive = std::weak_ptr<const bool>(alive_)] {
-        if (alive.expired()) return;  // straggler outliving the executor
-        run->pending_wakes_.fetch_sub(1, std::memory_order_relaxed);
-        wake_from_timer(run, epoch);
-      });
+  run->outbox_.push_back(
+      {when, [this, run, epoch, alive = std::weak_ptr<const bool>(alive_)] {
+         if (alive.expired()) return;  // straggler outliving the executor
+         run->pending_wakes_.fetch_sub(1, std::memory_order_relaxed);
+         wake_from_timer(run, epoch);
+       }});
 }
 
 void Executor::wake_from_timer(ProtocolRun* run, std::uint64_t epoch) {
-  // Runs inside drain()'s event execution, shard mutex held. A stale epoch
-  // means the await this timer belonged to was already resumed (arrival).
+  // A stale epoch means the await this timer belonged to was already
+  // resumed (arrival).
   if (epoch != run->wake_epoch_ ||
       run->state_.load(std::memory_order_relaxed) != ProtocolRun::State::kWaiting) {
     return;
@@ -217,92 +169,37 @@ void Executor::wake_from_timer(ProtocolRun* run, std::uint64_t epoch) {
   make_runnable(run);
 }
 
-void Executor::step(ProtocolRun* run) {
-#if IDGKA_OBS
-  // Same semantics as the aggregate engine.resumes bump in drain(), broken
-  // out by run name; the counter was cached at submit (relaxed add only).
-  run->resumes_counter_->add(1);
-#endif
-  Shard& shard = *shards_[run->shard_idx_];
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  run->go_ = true;
-  run->cv_.notify_one();
-  shard.host_cv.wait(lock, [run] { return !run->go_; });
-}
-
-void Executor::ensure_workers() {
-  if (!shard_threads_.empty() || shards_.size() == 1) return;
-  shard_threads_.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    shard_threads_.emplace_back([this, s] { shard_worker(s); });
+void Executor::settle_in_flight(ProtocolRun* owner) {
+  if (owner->in_flight_.fetch_sub(1, std::memory_order_relaxed) == 1 &&
+      owner->arrival_sensitive_ &&
+      owner->state_.load(std::memory_order_relaxed) == ProtocolRun::State::kWaiting) {
+    ++owner->wake_epoch_;  // invalidate the pending timeout wake
+    make_runnable(owner);
   }
 }
 
-void Executor::shard_worker(std::size_t shard_idx) {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(pool_mutex_);
-  for (;;) {
-    pool_cv_.wait(lock, [&] { return pool_stop_ || phase_gen_ != seen; });
-    if (pool_stop_) return;
-    seen = phase_gen_;
-    const std::function<void(std::size_t)>* phase = phase_;
-    lock.unlock();
-    try {
-      (*phase)(shard_idx);
-    } catch (...) {
-      lock.lock();
-      if (!phase_error_) phase_error_ = std::current_exception();
-      lock.unlock();
-    }
-    lock.lock();
-    if (--phase_remaining_ == 0) pool_done_cv_.notify_all();
-  }
-}
-
-void Executor::run_phase(const std::function<void(std::size_t)>& phase) {
-  if (shards_.size() == 1) {
-    phase(0);
-    return;
-  }
-  ensure_workers();
+void Executor::resume(std::span<ProtocolRun* const> runs) {
   {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    phase_ = &phase;
-    phase_remaining_ = shards_.size() - 1;
-    ++phase_gen_;
-  }
-  pool_cv_.notify_all();
-  std::exception_ptr host_error;
-  try {
-    phase(0);
-  } catch (...) {
-    host_error = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(pool_mutex_);
-  pool_done_cv_.wait(lock, [this] { return phase_remaining_ == 0; });
-  std::exception_ptr error = host_error ? host_error : phase_error_;
-  phase_error_ = nullptr;
-  lock.unlock();
-  if (error) std::rethrow_exception(error);
-}
-
-void Executor::drain_inboxes() {
-  for (auto& shard : shards_) {
-    std::vector<Shard::InboxEntry> pending;
-    {
-      const std::lock_guard<std::mutex> lock(shard->inbox_mutex);
-      pending.swap(shard->inbox);
+    std::unique_lock<std::mutex> lock(mutex_);
+    unfinished_ = runs.size();
+    for (ProtocolRun* run : runs) {
+#if IDGKA_OBS
+      // Same semantics as the aggregate engine.resumes bump in drain(),
+      // broken out by run name; the counter was cached at submit.
+      run->resumes_counter_->add(1);
+#endif
+      run->go_ = true;
+      run->cv_.notify_one();
     }
-    if (pending.empty()) continue;
-    // Arrival order across posting shards is scheduling noise; (when,
-    // owner, arrival) puts the fold-in order — and therefore the FIFO
-    // tie-break downstream — back under the workload's control.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const Shard::InboxEntry& a, const Shard::InboxEntry& b) {
-                       return a.when != b.when ? a.when < b.when : a.owner_id < b.owner_id;
-                     });
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& entry : pending) shard->sched->at(entry.when, std::move(entry.fn));
+    host_cv_.wait(lock, [this] { return unfinished_ == 0; });
+  }
+  // Batch order, not the order the runs happened to post in: the queue
+  // sees the insertion sequence of a one-by-one resumption.
+  for (ProtocolRun* run : runs) {
+    for (ProtocolRun::Posted& posted : run->outbox_) {
+      scheduler_.at(posted.when, std::move(posted.fn));
+    }
+    run->outbox_.clear();
   }
 }
 
@@ -310,29 +207,15 @@ void Executor::drain() {
   if (ProtocolRun::current() != nullptr) {
     throw std::logic_error("engine::Executor: drain() called from a run body");
   }
-  // Between drains the host may advance the external scheduler (shard 0)
-  // directly; bring every shard clock to that frontier so the first resumed
-  // run reads the same virtual time from any shard.
-  sim::SimTime frontier = 0;
-  for (const auto& shard : shards_) frontier = std::max(frontier, shard->sched->now());
-  for (const auto& shard : shards_) shard->sched->advance_to(frontier);
-
+  const bool one_by_one = net::worker_count() == 1;
   for (;;) {
-    drain_inboxes();
-    // Collect the global same-instant batch: each shard's runnable slice.
-    std::size_t total = 0;
-    for (auto& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->batch.clear();
-      shard->batch.swap(shard->runnable);
-      for (ProtocolRun* run : shard->batch) run->queued_ = false;
-      total += shard->batch.size();
-    }
-    if (total > 0) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        max_batch_ = std::max(max_batch_, total);
-      }
+    batch_.swap(runnable_);
+    runnable_.clear();
+    if (!batch_.empty()) {
+      for (ProtocolRun* run : batch_) run->queued_ = false;
+      const std::size_t total = batch_.size();
+      resumes_ += total;
+      max_batch_ = std::max(max_batch_, total);
       // Mirror the engine bookkeeping into the process-wide registry (same
       // semantics as resumes()/max_batch(), summed over all executors).
       OBS_COUNT("engine.resumes", total);
@@ -345,57 +228,29 @@ void Executor::drain() {
       }
 #endif
       OBS_INSTANT_ARG("engine.batch", "engine", total);
-      // Each shard resumes its slice sequentially in queue order; shards
-      // run on their own worker threads. With one shard this degenerates
-      // to strictly sequential resumption — bit-identical results either
-      // way.
-      run_phase([this](std::size_t s) {
-        Shard& shard = *shards_[s];
-        for (ProtocolRun* run : shard.batch) step(run);
-        shard.resumes += shard.batch.size();
-      });
+      if (one_by_one) {
+        for (std::size_t i = 0; i < total; ++i) resume({&batch_[i], 1});
+      } else {
+        resume(batch_);
+      }
       continue;
     }
-    bool all_finished;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      all_finished = std::all_of(runs_.begin(), runs_.end(), [](const auto& run) {
-        return run->state_.load(std::memory_order_relaxed) == ProtocolRun::State::kFinished;
-      });
-    }
+    const bool all_finished = std::all_of(runs_.begin(), runs_.end(), [](const auto& run) {
+      return run->state_.load(std::memory_order_relaxed) == ProtocolRun::State::kFinished;
+    });
     if (all_finished) break;
-    // Globally earliest pending timestamp across all shards.
-    std::optional<sim::SimTime> next;
-    for (auto& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      if (const auto t = shard->sched->next_event_time()) {
-        next = next.has_value() ? std::min(*next, *t) : *t;
-      }
-    }
-    if (next.has_value()) {
-      // Execute every shard's events at the barrier timestamp (frame
-      // deposits, timer wakes — including same-timestamp cascades), then
-      // advance every shard clock to it (run_until's trailing advance).
-      // Wake events mark runs runnable; the next iteration resumes them
-      // as one global batch.
-      const sim::SimTime barrier = *next;
-      run_phase([this, barrier](std::size_t s) {
-        Shard& shard = *shards_[s];
-#if IDGKA_OBS
-        // Trace events stamp the executing shard's clock: shard 0's, which
-        // an installed sim clock reads, may still show the last barrier.
-        const obs::ScopedThreadClock obs_clock(&shard_clock, shard.sched);
-#endif
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.sched->run_until(barrier);
-      });
+    if (const auto next = scheduler_.next_event_time()) {
+      // Execute every event at the earliest pending timestamp (frame
+      // deposits, timer wakes — including same-timestamp cascades). Wake
+      // events mark runs runnable; the next iteration resumes them as one
+      // batch.
+      scheduler_.run_until(*next);
       continue;
     }
     throw std::logic_error(
         "engine::Executor: all runs waiting but no pending events (lost wakeup?)");
   }
 
-  std::unique_lock<std::mutex> lock(mutex_);
   // Keep the first body error for rethrow and clear ALL of them — a stale
   // error must never be re-attributed to a later, unrelated drain.
   std::exception_ptr first_error;
@@ -404,72 +259,17 @@ void Executor::drain() {
       if (!first_error) first_error = run->error_;
       run->error_ = nullptr;
     }
+    // Every run has finished: its thread is exiting or gone.
+    if (run->thread_.joinable()) run->thread_.join();
   }
   // Reap finished runs no queued event references any more (straggler
   // deposits and stale timer wakes both hold ProtocolRun pointers); the
   // rest keep their objects until those events fire or the executor dies.
-  std::vector<std::unique_ptr<ProtocolRun>> reaped;
-  const auto referenced = [](const std::unique_ptr<ProtocolRun>& run) {
-    return run->in_flight_.load(std::memory_order_relaxed) > 0 ||
-           run->pending_wakes_.load(std::memory_order_relaxed) > 0;
-  };
-  for (auto it = runs_.begin(); it != runs_.end();) {
-    if (!referenced(*it)) {
-      reaped.push_back(std::move(*it));
-      it = runs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  lock.unlock();
-  // Join thread handles outside the mutex (a finishing thread briefly
-  // re-acquires its shard mutex on its way out).
-  for (const auto& run : runs_) {
-    if (run->thread_.joinable()) run->thread_.join();
-  }
-  for (const auto& run : reaped) {
-    if (run->thread_.joinable()) run->thread_.join();
-  }
-  reaped.clear();
+  std::erase_if(runs_, [](const std::unique_ptr<ProtocolRun>& run) {
+    return run->in_flight_.load(std::memory_order_relaxed) == 0 &&
+           run->pending_wakes_.load(std::memory_order_relaxed) == 0;
+  });
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void Executor::settle_in_flight(ProtocolRun* owner) {
-  // Owner's shard mutex held (its scheduler events execute under it).
-  if (owner->in_flight_.fetch_sub(1, std::memory_order_relaxed) == 1 &&
-      owner->arrival_sensitive_ &&
-      owner->state_.load(std::memory_order_relaxed) == ProtocolRun::State::kWaiting) {
-    ++owner->wake_epoch_;  // invalidate the pending timeout wake
-    make_runnable(owner);
-  }
-}
-
-std::uint64_t Executor::resumes() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->resumes;
-  }
-  return total;
-}
-
-std::size_t Executor::max_batch() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return max_batch_;
-}
-
-std::size_t Executor::run_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return submitted_;
-}
-
-std::uint64_t Executor::events_executed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->sched->executed();
-  }
-  return total;
 }
 
 }  // namespace idgka::engine

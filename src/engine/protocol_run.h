@@ -10,12 +10,10 @@
 // posted lands (frame-arrival resumption, opt-in per await).
 //
 // Exactly one of {the executor's resume machinery, the run body} executes
-// at any time per run. Runs are pinned to executor shards (run id modulo
-// shard count); all of a run's park/wake state is guarded by its shard's
-// mutex, and within a shard runs resume strictly sequentially — parallelism
-// comes from resuming different shards' batches on different OS threads,
-// which is safe because a run only ever touches its own sessions/networks
-// plus the executor's locked state.
+// at any time per run. The floor handoff is guarded by the executor's
+// mutex; runs of one same-instant batch execute concurrently, which is
+// safe because a run only ever touches its own sessions/networks, its own
+// outbox and the in-flight counter of the run it posts for.
 #pragma once
 
 #include <atomic>
@@ -25,6 +23,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/trace.h"
 #include "sim/scheduler.h"
@@ -56,8 +55,8 @@ class ProtocolRun {
 
   // --- Callable only from the run body (on the run thread) ---
 
-  /// Current virtual time (lock-free read of this run's shard clock; all
-  /// shard clocks agree whenever any run body executes).
+  /// Current virtual time (lock-free read of the executor's clock, which
+  /// stands still while any run body executes).
   [[nodiscard]] sim::SimTime now() const;
 
   /// Yields until virtual time `when`; no-op when `when` is not in the
@@ -79,35 +78,39 @@ class ProtocolRun {
 
  private:
   friend class Executor;
-  ProtocolRun(Executor& exec, std::uint64_t id, std::size_t shard_idx, std::string name,
-              Body body);
+  ProtocolRun(Executor& exec, std::uint64_t id, std::string name, Body body);
 
   void thread_main();
-  /// Parks the run thread until the executor resumes it (the run's shard
-  /// mutex held by the caller); throws RunAborted on shutdown.
-  void park(std::unique_lock<std::mutex>& lock);
+  /// Hands the floor back and parks the run thread until the executor
+  /// resumes it; throws RunAborted on shutdown.
+  void park();
 
   Executor& exec_;
   const std::uint64_t id_;
-  /// Shard this run is pinned to (id % shard count), fixed for life: every
-  /// event the run posts or awaits lives in that shard's scheduler.
-  const std::size_t shard_idx_;
   const std::string name_;
   Body body_;
   std::thread thread_;
 
-  // --- Guarded by the owning shard's mutex (atomics below are readable
-  // --- cross-thread without it; transitions still happen under the mutex)
+  // --- Handoff, guarded by the executor's mutex
   std::atomic<State> state_{State::kReady};
   bool go_ = false;  ///< run thread may execute (handoff flag)
-  bool queued_ = false;  ///< already in the shard's runnable queue
   std::condition_variable cv_;  ///< run thread waits here for go_
+  // --- Touched only by whoever has the floor (the run while it executes,
+  // --- the host between batches); the handoff orders the two
+  bool queued_ = false;  ///< already in the executor's runnable queue
+  /// Events posted while the run had the floor, in posting order; the host
+  /// moves them into the scheduler after the batch (see Executor::post).
+  struct Posted {
+    sim::SimTime when;
+    std::function<void()> fn;
+  };
+  std::vector<Posted> outbox_;
   /// Invalidates stale timer wakes: a timer event only resumes the run if
   /// it still carries the epoch the await registered.
   std::uint64_t wake_epoch_ = 0;
   /// Frame copies posted by this run still in flight (posted, not yet
-  /// executed by the scheduler). Atomic because a cross-shard post bumps it
-  /// from a foreign shard's thread without taking this shard's mutex.
+  /// executed by the scheduler). Atomic because another run may post on
+  /// this run's behalf from its own thread.
   std::atomic<std::uint64_t> in_flight_{0};
   /// Timer wake events still queued in the scheduler (stale ones
   /// included); the run cannot be reaped while any remain.

@@ -11,13 +11,13 @@
 // more than one chunk and kept for the life of the process. A call
 // publishes its chunks, then the calling thread claims chunks alongside the
 // pool threads and finally waits only for chunks some other thread already
-// claimed. So concurrent callers (one per executor shard, say) share the
-// pool without a queue of idle waits: a caller whose pool threads are busy
-// with another call's chunks runs its own chunks itself. A body may call
-// parallel_for_each again (nested): the inner call makes progress on the
-// calling thread whatever the pool is doing, so it cannot deadlock. Chunks
-// of one call must not wait on each other — any of them may run after
-// another on the same thread.
+// claimed. So concurrent callers (the protocol runs of one executor batch,
+// say) share the pool without a queue of idle waits: a caller whose pool
+// threads are busy with another call's chunks runs its own chunks itself.
+// A body may call parallel_for_each again (nested): the inner call makes
+// progress on the calling thread whatever the pool is doing, so it cannot
+// deadlock. Chunks of one call must not wait on each other — any of them
+// may run after another on the same thread.
 //
 // IDGKA_THREADS=1 is strictly inline: no pool thread is ever started and
 // every chunk runs on the calling thread, in index order.

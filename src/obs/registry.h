@@ -39,7 +39,8 @@ namespace idgka::obs {
 ///
 /// Updates are striped per thread (the per-cpu-stats idiom): each thread
 /// lands on one cache-line-aligned slot, so hot-path add() from many
-/// executor shards never bounces one contended line between cores.
+/// concurrently resumed protocol runs and pool threads never bounces one
+/// contended line between cores.
 /// value() sums the stripes — reads are rare (snapshot time), writes are
 /// constant. Sum-of-relaxed-stripes is exact for quiescent reads (tests,
 /// snapshots at barriers) and momentarily stale while writers race, same

@@ -32,10 +32,6 @@ namespace {
 std::atomic<ClockFn> g_clock_fn{nullptr};
 std::atomic<const void*> g_clock_ctx{nullptr};
 
-// Per-thread override of the installed source (ScopedThreadClock).
-thread_local ClockFn t_clock_fn = nullptr;
-thread_local const void* t_clock_ctx = nullptr;
-
 std::uint64_t steady_now_us() {
   static const auto t0 = std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -190,19 +186,7 @@ extern "C" void abort_with_dump(int) {
 std::uint64_t now_us() {
   const ClockFn fn = g_clock_fn.load(std::memory_order_acquire);
   if (fn == nullptr) return steady_now_us();
-  if (t_clock_fn != nullptr) return t_clock_fn(t_clock_ctx);
   return fn(g_clock_ctx.load(std::memory_order_acquire));
-}
-
-ScopedThreadClock::ScopedThreadClock(ClockFn fn, const void* ctx)
-    : prev_fn_(t_clock_fn), prev_ctx_(t_clock_ctx) {
-  t_clock_fn = fn;
-  t_clock_ctx = ctx;
-}
-
-ScopedThreadClock::~ScopedThreadClock() {
-  t_clock_fn = prev_fn_;
-  t_clock_ctx = prev_ctx_;
 }
 
 ScopedClock::ScopedClock(ClockFn fn, const void* ctx)

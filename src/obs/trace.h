@@ -80,23 +80,6 @@ class ScopedClock {
   const void* prev_ctx_;
 };
 
-/// Overrides the installed clock source on the calling thread only, while
-/// it lives: for threads that execute the events of another scheduler than
-/// the one the installed clock reads (the engine's shard workers), so their
-/// events carry their own scheduler's time. No effect while no clock is
-/// installed.
-class ScopedThreadClock {
- public:
-  ScopedThreadClock(ClockFn fn, const void* ctx);
-  ~ScopedThreadClock();
-  ScopedThreadClock(const ScopedThreadClock&) = delete;
-  ScopedThreadClock& operator=(const ScopedThreadClock&) = delete;
-
- private:
-  ClockFn prev_fn_;
-  const void* prev_ctx_;
-};
-
 // ------------------------------------------------------------------ events
 
 enum class Phase : std::uint8_t { kBegin, kEnd, kInstant };

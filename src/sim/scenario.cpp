@@ -18,10 +18,10 @@ namespace {
 #if IDGKA_OBS
 /// Trace clock over the run's scheduler, so every event of a sim run
 /// carries virtual time and same-seed runs export byte-identical traces.
-/// Reads Scheduler::now() directly — NOT Executor::now(): deposit events
-/// emit trace instants while the executor mutex is held, and a clock that
-/// re-took it would self-deadlock. The raw read is safe in practice: the
-/// clock only advances on the host thread while every run is parked.
+/// Reads Scheduler::now(), a lock-free atomic load: run threads stamp their
+/// events with it while they have the floor, and the clock only advances
+/// on the host thread while every run is parked, so each stamp is a pure
+/// function of the workload.
 std::uint64_t scheduler_clock(const void* ctx) {
   return static_cast<std::uint64_t>(static_cast<const Scheduler*>(ctx)->now());
 }
@@ -458,7 +458,7 @@ MultiGroupMetrics MultiGroupRunner::run() {
 
   const mpint::OpCounts ops_start = mpint::op_counts();
   Scheduler scheduler;
-  engine::Executor executor(scheduler, cfg_.shards);
+  engine::Executor executor(scheduler);
 #if IDGKA_OBS
   const obs::ScopedClock obs_clock(&scheduler_clock, &scheduler);
   const obs::Span obs_span("sim.multigroup", "sim");

@@ -107,9 +107,6 @@ struct MultiGroupConfig {
   /// plus any joiner offsets used in the trace.
   std::uint32_t id_stride = 100'000;
   std::uint64_t seed = 1;
-  /// Executor scheduler shards (0 = one per worker thread, the default).
-  /// Metrics are bit-identical for every value — tests pin 1 vs many.
-  std::size_t shards = 0;
 
   DriverConfig driver;
   /// Hierarchical sharding knobs; `cluster.scheme` also selects the flat

@@ -12,10 +12,10 @@
 // codebase they only ever deposit in-flight message copies and mark runs
 // runnable.
 //
-// Threading: the queue is externally synchronized (the sharded executor
-// guards each scheduler with its shard mutex), but the clock is an atomic
-// so any thread may read now() without a lock — trace clocks and the
-// engine's cross-shard barrier logic rely on that.
+// Threading: only the host thread (the one driving the engine) mutates the
+// queue; run bodies hand their posts to the engine, which inserts them
+// between batches. The clock stays atomic because run threads and trace
+// clocks read now() from threads other than the host.
 #pragma once
 
 #include <atomic>
@@ -47,13 +47,6 @@ class Scheduler {
   /// advances the clock to `horizon` (never backwards).
   void run_until(SimTime horizon);
 
-  /// Advances the clock only (never backwards, executes nothing). The
-  /// sharded executor uses this to bring every shard clock to the global
-  /// barrier time before any shard resumes a run.
-  void advance_to(SimTime when) {
-    if (when > now()) now_.store(when, std::memory_order_relaxed);
-  }
-
   /// Drains the queue completely; returns the final clock value.
   SimTime run_all();
 
@@ -68,6 +61,11 @@ class Scheduler {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
+  /// Advances the clock only (never backwards, executes nothing).
+  void advance_to(SimTime when) {
+    if (when > now()) now_.store(when, std::memory_order_relaxed);
+  }
+
   std::atomic<SimTime> now_{0};
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -5,12 +5,12 @@
 // single hottest allocation site (one buffer per broadcast, dropped as
 // soon as every receiver has drained its copy). acquire_buffer() hands
 // out a buffer whose release — the last Frame copy going away, on
-// whichever executor shard thread that happens — returns it to a
+// whichever run or host thread that happens — returns it to a
 // mutex-striped free list instead of the allocator, so steady-state
 // encode costs no malloc/free round trip. Stripes are picked by thread,
-// keeping cross-shard contention to the occasional work-stealing miss;
-// each stripe is bounded, so a burst can only park a fixed number of
-// buffers (beyond that they free normally).
+// keeping contention between concurrently resumed runs to the occasional
+// work-stealing miss; each stripe is bounded, so a burst can only park a
+// fixed number of buffers (beyond that they free normally).
 #pragma once
 
 #include <cstdint>

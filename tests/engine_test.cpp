@@ -1,13 +1,13 @@
 // Event-driven protocol engine tests: RoundTask state machine, Executor
-// run multiplexing (timer + frame-arrival resumption, determinism across
-// worker counts), the engine-hosted driver, and the multi-group scenario
-// runner (M concurrent clusters on one clock).
+// run multiplexing (timer + frame-arrival resumption, deterministic event
+// order under parallel batches), the engine-hosted driver, and the
+// multi-group scenario runner (M concurrent clusters on one clock).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
+#include <thread>
 #include <vector>
 
 #include "engine/executor.h"
@@ -221,57 +221,37 @@ TEST(Executor, TimerOnlyAwaitBurnsFullTimeout) {
   EXPECT_EQ(resumed_at, 10'000U);
 }
 
-TEST(Executor, ExplicitShardCountPreservesScheduleAndCounters) {
-  // The same workload on 1, 2 and 4 scheduler shards must produce the
-  // identical wake sequence and merged counters — the sharded-executor
-  // determinism contract (virtual-time barriers, not racy handoff).
-  const auto run_once = [](std::size_t shards) {
-    sim::Scheduler scheduler;
-    Executor executor(scheduler, shards);
-    EXPECT_EQ(executor.shard_count(), shards == 0 ? 1U : shards);
-    std::mutex record_mutex;
-    std::vector<std::pair<int, sim::SimTime>> wakes;
-    for (int i = 0; i < 6; ++i) {
-      executor.submit("shard" + std::to_string(i), [&, i](ProtocolRun& run) {
-        run.sleep_until(100 * (i + 1));
-        {
-          const std::lock_guard<std::mutex> lock(record_mutex);
-          wakes.emplace_back(i, run.now());
-        }
-        run.sleep_until(1000 - 100 * i);
-        const std::lock_guard<std::mutex> lock(record_mutex);
-        wakes.emplace_back(i, run.now());
-      });
-    }
-    executor.drain();
-    // Order by (time, run id): runs that wake at the same instant on
-    // different shards record in thread order.
-    std::sort(wakes.begin(), wakes.end(), [](const auto& a, const auto& b) {
-      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+TEST(Executor, SameInstantPostsRunInBatchOrder) {
+  // Four runs wake in one batch and each posts an event for the same later
+  // instant. Later runs post first in real time (earlier ones dawdle), yet
+  // the events must execute in batch (= submission) order: the host moves
+  // each run's outbox into the queue in batch order after the batch.
+  sim::Scheduler scheduler;
+  Executor executor(scheduler);
+  std::vector<int> order;  // appended by events, on the host thread only
+  for (int i = 0; i < 4; ++i) {
+    executor.submit("poster" + std::to_string(i), [&, i](ProtocolRun& run) {
+      run.sleep_until(100);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5 * (3 - i)));
+      executor.post(50, [&order, i] { order.push_back(i); }, nullptr);
+      run.sleep_until(200);
     });
-    return std::make_tuple(wakes, executor.resumes(), executor.max_batch());
-  };
-
-  const auto one = run_once(1);
-  const auto two = run_once(2);
-  const auto four = run_once(4);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
-  // 6 starts + 11 timer wakes (run 5's second sleep targets the past: no-op).
-  EXPECT_EQ(std::get<1>(one), 17U);
+  }
+  executor.drain();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(executor.max_batch(), 4U);
+  EXPECT_EQ(executor.resumes(), 12U);  // 4 starts + 4 wakes at 100 + 4 at 200
 }
 
-TEST(Executor, CrossShardPostLandsAtBarrier) {
-  // A run on one shard posts a frame-arrival event to a run pinned to the
-  // other shard; the inbox handoff must deliver it at the right virtual
-  // instant and wake the arrival-sensitive waiter.
+TEST(Executor, PostOnBehalfOfAnotherRunWakesIt) {
+  // A run posts a frame-arrival event owned by another run: the event must
+  // land at the right virtual instant and wake the owner's
+  // arrival-sensitive await.
   sim::Scheduler scheduler;
-  Executor executor(scheduler, 2);
+  Executor executor(scheduler);
   std::vector<sim::SimTime> arrivals;
   std::mutex arrivals_mutex;
 
-  // Runs are pinned round-robin by id: submit order puts the two runs on
-  // different shards, so the sender's deposit takes the inbox handoff.
   ProtocolRun* receiver = nullptr;
   executor.submit("receiver", [&](ProtocolRun& run) {
     receiver = &run;
@@ -387,23 +367,6 @@ TEST(MultiGroup, SameSeedBitIdenticalJson) {
   const std::string second = sim::MultiGroupRunner(cfg).run().to_json();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-}
-
-TEST(MultiGroup, ShardCountDoesNotChangeMetricsJson) {
-  // The whole scenario pipeline over 1, 2 and 4 executor shards: per-group
-  // metrics, engine counters, traffic totals — all bit-identical. This is
-  // the in-process face of the CI smoke that diffs IDGKA_THREADS=1 vs
-  // default at n=4096.
-  sim::MultiGroupConfig cfg = small_multi();
-  cfg.shards = 1;
-  const std::string one = sim::MultiGroupRunner(cfg).run().to_json();
-  cfg.shards = 2;
-  const std::string two = sim::MultiGroupRunner(cfg).run().to_json();
-  cfg.shards = 4;
-  const std::string four = sim::MultiGroupRunner(cfg).run().to_json();
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
 }
 
 TEST(MultiGroup, DifferentSeedsDiverge) {

@@ -125,8 +125,9 @@ TEST(ParallelRunner, PropagatesExceptions) {
 }
 
 TEST(ParallelRunner, ConcurrentCallersEachCoverTheirRange) {
-  // Plain threads calling at once (as executor shards do) share the pool;
-  // every call still visits each of its indices exactly once.
+  // Plain threads calling at once (as the runs of one executor batch do)
+  // share the pool; every call still visits each of its indices exactly
+  // once.
   constexpr int kCallers = 8;
   constexpr int kCalls = 500;
   std::atomic<int> bad{0};
