@@ -37,7 +37,8 @@ struct Fixtures {
   pairing::TatePairing tate{ss_group};
   sig::SokPkg sok_pkg{ss_group, rng};
   sig::DsaParams dsa = sig::dsa_generate_params(rng, 1024, 160, 24);
-  sig::DsaKeyPair dsa_key = sig::dsa_generate_keypair(dsa, rng);
+  mpint::ModContext dsa_ctx{dsa.p};  // derived once, like the GQ and ECDSA rows
+  sig::DsaKeyPair dsa_key = sig::dsa_generate_keypair(dsa, dsa_ctx, rng);
   sig::EcdsaKeyPair ec_key = sig::ecdsa_generate_keypair(ec::secp160r1(), rng);
 };
 
@@ -74,15 +75,17 @@ BENCHMARK(BM_ScalarMul160);
 
 void BM_SignGenDsa(benchmark::State& state) {
   auto& f = fx();
-  for (auto _ : state) benchmark::DoNotOptimize(sig::dsa_sign(f.dsa, f.dsa_key, kMsg, f.rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sig::dsa_sign(f.dsa, f.dsa_ctx, f.dsa_key, kMsg, f.rng));
+  }
 }
 BENCHMARK(BM_SignGenDsa);
 
 void BM_SignVerDsa(benchmark::State& state) {
   auto& f = fx();
-  const auto sig = sig::dsa_sign(f.dsa, f.dsa_key, kMsg, f.rng);
+  const auto sig = sig::dsa_sign(f.dsa, f.dsa_ctx, f.dsa_key, kMsg, f.rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sig::dsa_verify(f.dsa, f.dsa_key.y, kMsg, sig));
+    benchmark::DoNotOptimize(sig::dsa_verify(f.dsa, f.dsa_ctx, f.dsa_key.y, kMsg, sig));
   }
 }
 BENCHMARK(BM_SignVerDsa);

@@ -251,6 +251,7 @@ Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
     throw std::invalid_argument("generate_toy_curve: bits must be in [8, 28]");
   }
   const BigInt p = mpint::generate_prime(rng, bits, 24);
+  const mpint::ModContext fctx(p);
   const std::uint64_t pu = p.low_u64();
   while (true) {
     const std::uint64_t a = mpint::random_below(rng, p).low_u64();
@@ -283,7 +284,7 @@ Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
           BigInt root;
           // p was chosen freely; only use sqrt when p % 4 == 3, otherwise
           // search y directly (p is tiny).
-          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(BigInt{rhs}, p, root)) {
+          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(fctx, BigInt{rhs}, root)) {
             first_x = x;
             first_y = root.low_u64();
             have_point = true;

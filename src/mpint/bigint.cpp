@@ -563,14 +563,4 @@ int jacobi(const BigInt& a_in, const BigInt& n_in) {
   return n.is_one() ? result : 0;
 }
 
-bool sqrt_mod_p3(const BigInt& a, const BigInt& p, BigInt& out) {
-  if ((p.low_u64() & 3U) != 3U) {
-    throw std::domain_error("sqrt_mod_p3: requires p % 4 == 3");
-  }
-  const BigInt candidate = mod_exp(a.mod(p), (p + BigInt{1}) >> 2, p);
-  if (mod_mul(candidate, candidate, p) != a.mod(p)) return false;
-  out = candidate;
-  return true;
-}
-
 }  // namespace idgka::mpint

@@ -144,16 +144,7 @@ BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y);
 /// (a * b) mod m with full-width intermediate.
 [[nodiscard]] BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
 
-/// base^exp mod m for exp >= 0, m > 0. Uses Montgomery exponentiation for odd
-/// m and square-and-multiply otherwise.
-[[nodiscard]] BigInt mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m);
-
 /// Jacobi symbol (a/n) for odd positive n; returns -1, 0 or 1.
 [[nodiscard]] int jacobi(const BigInt& a, const BigInt& n);
-
-/// Square root modulo a prime p with p % 4 == 3 (the only case the library
-/// needs; used by MapToPoint on the supersingular curve). Returns nullopt-like
-/// empty result via bool: on success sets `out` and returns true.
-bool sqrt_mod_p3(const BigInt& a, const BigInt& p, BigInt& out);
 
 }  // namespace idgka::mpint

@@ -27,8 +27,6 @@ Limb neg_inv64(Limb n) {
   return ~x + 1;  // -(n^{-1})
 }
 
-unsigned clamp_window(unsigned w) { return w < 2 ? 2 : (w > 8 ? 8 : w); }
-
 // Shrink the window for short exponents so the 2^w-entry table pays for
 // itself (thresholds follow the usual bits-per-window break-even points).
 unsigned fit_window(unsigned w, std::size_t exp_bits) {
@@ -125,36 +123,6 @@ void reduce_once(const Limb* t, Limb hi, const Limb* n, std::size_t k, Limb* out
   }
 }
 
-// Left-to-right (MSB-first) fixed-window scan used by the generic
-// (even-modulus) engine: w squarings per window, then one multiply by
-// `table[digit]`. Returns {accumulator, started}; started == false means
-// the exponent was zero.
-template <typename T, typename Sqr, typename Mul>
-std::pair<T, bool> scan_windows(const BigInt& e, unsigned w, const std::vector<T>& table,
-                                Sqr&& sqr, Mul&& mul) {
-  const std::size_t windows = (e.bit_length() + w - 1) / w;
-  T acc{};
-  bool started = false;
-  for (std::size_t win = windows; win-- > 0;) {
-    if (started) {
-      for (unsigned s = 0; s < w; ++s) acc = sqr(acc);
-    }
-    std::size_t digit = 0;
-    for (unsigned b = 0; b < w; ++b) {
-      if (e.bit(win * w + b)) digit |= std::size_t{1} << b;
-    }
-    if (digit != 0) {
-      if (started) {
-        acc = mul(acc, table[digit]);
-      } else {
-        acc = table[digit];
-        started = true;
-      }
-    }
-  }
-  return {std::move(acc), started};
-}
-
 void check_residue(const ModContext& ctx, const Residue& r) {
   if (r.size() != ctx.limb_count()) {
     throw std::invalid_argument("ModContext: residue sized for another context");
@@ -195,18 +163,15 @@ void ModContext::fold(const Ops& ops) const {
   if (ops.sqrs != 0) g_mod_sqrs.fetch_add(ops.sqrs, std::memory_order_relaxed);
 }
 
-ModContext::ModContext(BigInt modulus, unsigned window_bits) : n_(std::move(modulus)) {
-  if (n_ <= BigInt{1}) {
-    throw std::invalid_argument("ModContext: modulus must be > 1");
+ModContext::ModContext(BigInt modulus) : n_(std::move(modulus)) {
+  if (n_ <= BigInt{1} || n_.is_even()) {
+    throw std::invalid_argument("ModContext: modulus must be odd and > 1");
   }
-  window_ = window_bits == 0 ? (n_.bit_length() >= 512 ? 5 : 4) : clamp_window(window_bits);
-  mont_ = n_.is_odd();
-  if (!mont_) return;  // generic path needs nothing precomputed
+  window_ = n_.bit_length() >= 512 ? 5 : 4;
   n_limbs_ = n_.limbs();
   k_ = n_limbs_.size();
   n0_inv_ = neg_inv64(n_limbs_[0]);
-  rr_ = (BigInt{1} << (2 * 64 * k_)).mod(n_);
-  rr_limbs_ = rr_.limbs();
+  rr_limbs_ = (BigInt{1} << (2 * 64 * k_)).mod(n_).limbs();
   rr_limbs_.resize(k_, 0);
   // one_mont_ = 1 * R mod n.
   one_mont_.assign(k_, 0);
@@ -435,45 +400,15 @@ void ModContext::exp_mont_raw(const Limb* base, const BigInt& e, Limb* out,
   }
 }
 
-BigInt ModContext::exp_mont(const BigInt& base, const BigInt& e, Ops& ops) const {
-  if (e.bit_length() == 0) return BigInt{1}.mod(n_);
+BigInt ModContext::exp_any(const BigInt& base, const BigInt& e, Ops& ops) const {
+  if (e.negative()) return exp_any(mod_inverse(base, n_), -e, ops);
+  if (e.bit_length() == 0) return BigInt{1};
   ArenaFrame frame(tls_arena());
   Limb* scratch = frame.alloc(2 * k_ + 2);
   Limb* acc = frame.alloc(k_);
   to_mont_raw(base, acc, scratch, ops);
   exp_mont_raw(acc, e, acc, ops);
   return from_mont_raw(acc, scratch, ops);
-}
-
-BigInt ModContext::exp_generic(const BigInt& base, const BigInt& e, Ops& ops) const {
-  const std::size_t bits = e.bit_length();
-  if (bits == 0) return BigInt{1}.mod(n_);
-
-  const unsigned w = fit_window(window_, bits);
-  std::vector<BigInt> table(std::size_t{1} << w);
-  table[0] = BigInt{1};
-  table[1] = base.mod(n_);
-  for (std::size_t j = 2; j < table.size(); ++j) {
-    ++ops.muls;
-    table[j] = (table[j - 1] * table[1]).mod(n_);
-  }
-
-  auto [acc, started] = scan_windows(
-      e, w, table,
-      [&](const BigInt& a) {
-        ++ops.sqrs;
-        return (a * a).mod(n_);
-      },
-      [&](const BigInt& a, const BigInt& b) {
-        ++ops.muls;
-        return (a * b).mod(n_);
-      });
-  return started ? acc : BigInt{1};  // unreachable fallback: bits > 0 here
-}
-
-BigInt ModContext::exp_any(const BigInt& base, const BigInt& e, Ops& ops) const {
-  if (e.negative()) return exp_any(mod_inverse(base, n_), -e, ops);
-  return mont_ ? exp_mont(base, e, ops) : exp_generic(base, e, ops);
 }
 
 BigInt ModContext::exp(const BigInt& base, const BigInt& e) const {
@@ -486,21 +421,15 @@ BigInt ModContext::exp(const BigInt& base, const BigInt& e) const {
 
 BigInt ModContext::mul(const BigInt& a, const BigInt& b) const {
   Ops ops;
-  BigInt r;
-  if (mont_) {
-    ArenaFrame frame(tls_arena());
-    Limb* scratch = frame.alloc(2 * k_ + 2);
-    Limb* am = frame.alloc(k_);
-    Limb* bm = frame.alloc(k_);
-    to_mont_raw(a, am, scratch, ops);
-    to_mont_raw(b, bm, scratch, ops);
-    ++ops.muls;
-    mont_mul_raw(am, bm, am, scratch);
-    r = from_mont_raw(am, scratch, ops);
-  } else {
-    ++ops.muls;
-    r = (a * b).mod(n_);
-  }
+  ArenaFrame frame(tls_arena());
+  Limb* scratch = frame.alloc(2 * k_ + 2);
+  Limb* am = frame.alloc(k_);
+  Limb* bm = frame.alloc(k_);
+  to_mont_raw(a, am, scratch, ops);
+  to_mont_raw(b, bm, scratch, ops);
+  ++ops.muls;
+  mont_mul_raw(am, bm, am, scratch);
+  BigInt r = from_mont_raw(am, scratch, ops);
   fold(ops);
   return r;
 }
@@ -682,112 +611,90 @@ BigInt ModContext::multi_exp(std::span<const BigInt> bases, std::span<const BigI
     throw std::invalid_argument("ModContext::multi_exp: bases/exps size mismatch");
   }
   Ops ops;
-  BigInt r;
-  if (!mont_) {
-    // Even-modulus fallback: sequential generic exponentiation.
-    r = BigInt{1}.mod(n_);
-    for (std::size_t i = 0; i < bases.size(); ++i) {
-      if (exps[i].is_zero()) continue;
-      ++ops.muls;
-      r = (r * exp_any(bases[i], exps[i], ops)).mod(n_);
+  // Terms with negative exponents swap in the inverted base; zero
+  // exponents drop out. Everything else is partitioned by exponent width:
+  // narrow exponents (<= 64 bits) and wide ones run as separate joint
+  // products so a batch of small scalars never pays wide-ladder squarings.
+  std::vector<BigInt> inverted;
+  inverted.reserve(bases.size());
+  std::vector<Residue> mont_bases(bases.size());
+  std::vector<const Residue*> narrow_b, wide_b;
+  std::vector<const BigInt*> narrow_e, wide_e;
+  constexpr std::size_t kNarrowBits = 64;
+  ArenaFrame frame(tls_arena());
+  Limb* scratch = frame.alloc(2 * k_ + 2);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    if (exps[i].is_zero()) continue;
+    const BigInt* e = &exps[i];
+    mont_bases[i].resize(k_);
+    if (e->negative()) {
+      inverted.push_back(-exps[i]);
+      to_mont_raw(mod_inverse(bases[i], n_), mont_bases[i].limbs(), scratch, ops);
+      e = &inverted.back();
+    } else {
+      to_mont_raw(bases[i], mont_bases[i].limbs(), scratch, ops);
     }
-  } else {
-    // Terms with negative exponents swap in the inverted base; zero
-    // exponents drop out. Everything else is partitioned by exponent width:
-    // narrow exponents (<= 64 bits) and wide ones run as separate joint
-    // products so a batch of small scalars never pays wide-ladder squarings.
-    std::vector<BigInt> inverted;
-    inverted.reserve(bases.size());
-    std::vector<Residue> mont_bases(bases.size());
-    std::vector<const Residue*> narrow_b, wide_b;
-    std::vector<const BigInt*> narrow_e, wide_e;
-    constexpr std::size_t kNarrowBits = 64;
-    ArenaFrame frame(tls_arena());
-    Limb* scratch = frame.alloc(2 * k_ + 2);
-    for (std::size_t i = 0; i < bases.size(); ++i) {
-      if (exps[i].is_zero()) continue;
-      const BigInt* e = &exps[i];
-      mont_bases[i].resize(k_);
-      if (e->negative()) {
-        inverted.push_back(-exps[i]);
-        to_mont_raw(mod_inverse(bases[i], n_), mont_bases[i].limbs(), scratch, ops);
-        e = &inverted.back();
-      } else {
-        to_mont_raw(bases[i], mont_bases[i].limbs(), scratch, ops);
-      }
-      if (e->bit_length() <= kNarrowBits) {
-        narrow_b.push_back(&mont_bases[i]);
-        narrow_e.push_back(e);
-      } else {
-        wide_b.push_back(&mont_bases[i]);
-        wide_e.push_back(e);
-      }
+    if (e->bit_length() <= kNarrowBits) {
+      narrow_b.push_back(&mont_bases[i]);
+      narrow_e.push_back(e);
+    } else {
+      wide_b.push_back(&mont_bases[i]);
+      wide_e.push_back(e);
     }
-    Limb* acc = frame.alloc(k_);
-    Limb* part = frame.alloc(k_);
-    bool have = false;
-    for (const bool narrow : {true, false}) {
-      const auto& b = narrow ? narrow_b : wide_b;
-      const auto& e = narrow ? narrow_e : wide_e;
-      if (b.empty()) continue;
-      if (b.size() <= 8) {
-        straus_mont(b, e, part, ops);
-      } else {
-        pippenger_mont(b, e, part, ops);
-      }
-      if (have) {
-        ++ops.muls;
-        mont_mul_raw(acc, part, acc, scratch);
-      } else {
-        std::memcpy(acc, part, k_ * sizeof(Limb));
-        have = true;
-      }
-    }
-    if (!have) std::memcpy(acc, one_mont_.data(), k_ * sizeof(Limb));
-    r = from_mont_raw(acc, scratch, ops);
   }
+  Limb* acc = frame.alloc(k_);
+  Limb* part = frame.alloc(k_);
+  bool have = false;
+  for (const bool narrow : {true, false}) {
+    const auto& b = narrow ? narrow_b : wide_b;
+    const auto& e = narrow ? narrow_e : wide_e;
+    if (b.empty()) continue;
+    if (b.size() <= 8) {
+      straus_mont(b, e, part, ops);
+    } else {
+      pippenger_mont(b, e, part, ops);
+    }
+    if (have) {
+      ++ops.muls;
+      mont_mul_raw(acc, part, acc, scratch);
+    } else {
+      std::memcpy(acc, part, k_ * sizeof(Limb));
+      have = true;
+    }
+  }
+  if (!have) std::memcpy(acc, one_mont_.data(), k_ * sizeof(Limb));
+  const BigInt r = from_mont_raw(acc, scratch, ops);
   g_multi_exps.fetch_add(1, std::memory_order_relaxed);
   fold(ops);
   return r;
 }
 
 BigInt ModContext::product(std::span<const BigInt> values) const {
+  if (values.empty()) return BigInt{1};
+  // Conversion-free Montgomery chain: mont_mul over canonical residues
+  // accumulates an R^{-(k-1)} deficit across k factors, cancelled by a
+  // single multiply with R^k (i.e. the Montgomery form of R^{k-1}) — so a
+  // k-term product costs k + O(log k) multiplies, not 2k.
   Ops ops;
-  BigInt r;
-  if (values.empty()) {
-    r = BigInt{1}.mod(n_);
-  } else if (mont_) {
-    // Conversion-free Montgomery chain: mont_mul over canonical residues
-    // accumulates an R^{-(k-1)} deficit across k factors, cancelled by a
-    // single multiply with R^k (i.e. the Montgomery form of R^{k-1}) — so
-    // a k-term product costs k + O(log k) multiplies, not 2k.
-    ArenaFrame frame(tls_arena());
-    Limb* scratch = frame.alloc(2 * k_ + 2);
-    Limb* acc = frame.alloc(k_);
-    Limb* tmp = frame.alloc(k_);
-    load_canonical(values[0], acc);
-    for (std::size_t i = 1; i < values.size(); ++i) {
-      load_canonical(values[i], tmp);
-      ++ops.muls;
-      mont_mul_raw(acc, tmp, acc, scratch);
-    }
-    const std::uint64_t deficit = values.size() - 1;
-    if (deficit > 0) {
-      Limb* fix = frame.alloc(k_);
-      exp_mont_raw(rr_limbs_.data(), BigInt{deficit}, fix, ops);
-      ++ops.muls;
-      mont_mul_raw(acc, fix, acc, scratch);
-    }
-    r = BigInt::from_limbs(acc, k_);
-  } else {
-    r = values[0].mod(n_);
-    for (std::size_t i = 1; i < values.size(); ++i) {
-      ++ops.muls;
-      r = (r * values[i]).mod(n_);
-    }
+  ArenaFrame frame(tls_arena());
+  Limb* scratch = frame.alloc(2 * k_ + 2);
+  Limb* acc = frame.alloc(k_);
+  Limb* tmp = frame.alloc(k_);
+  load_canonical(values[0], acc);
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    load_canonical(values[i], tmp);
+    ++ops.muls;
+    mont_mul_raw(acc, tmp, acc, scratch);
+  }
+  const std::uint64_t deficit = values.size() - 1;
+  if (deficit > 0) {
+    Limb* fix = frame.alloc(k_);
+    exp_mont_raw(rr_limbs_.data(), BigInt{deficit}, fix, ops);
+    ++ops.muls;
+    mont_mul_raw(acc, fix, acc, scratch);
   }
   fold(ops);
-  return r;
+  return BigInt::from_limbs(acc, k_);
 }
 
 // ------------------------------------------------------- fixed-base comb
@@ -804,7 +711,7 @@ void ModContext::exp_comb_raw(const FixedBaseTable& table, const BigInt& e, Limb
       mont_sqr_raw(out, out, scratch);
     }
     std::size_t digit = 0;
-    for (unsigned tooth = 0; tooth < table.teeth_; ++tooth) {
+    for (unsigned tooth = 0; tooth < FixedBaseTable::kTeeth; ++tooth) {
       if (e.bit(tooth * d + pos)) digit |= std::size_t{1} << tooth;
     }
     if (digit != 0) {
@@ -835,8 +742,7 @@ BigInt ModContext::exp(const FixedBaseTable& table, const BigInt& e) const {
   }
   Ops ops;
   BigInt r;
-  if (table.comb_available() && mont_ && !e.negative() &&
-      e.bit_length() <= table.bits_) {
+  if (!e.negative() && e.bit_length() <= table.bits_) {
     r = exp_comb(table, e, ops);
   } else {
     r = exp_any(table.base_, e, ops);
@@ -846,16 +752,13 @@ BigInt ModContext::exp(const FixedBaseTable& table, const BigInt& e) const {
   return r;
 }
 
-FixedBaseTable ModContext::make_fixed_base(const BigInt& base, std::size_t max_exp_bits,
-                                           unsigned teeth) const {
+FixedBaseTable ModContext::make_fixed_base(const BigInt& base,
+                                           std::size_t max_exp_bits) const {
   FixedBaseTable t;
   t.base_ = base.mod(n_);
   t.mod_fingerprint_ = n_.limbs();
   t.bits_ = max_exp_bits == 0 ? 1 : max_exp_bits;
-  if (!mont_) return t;  // comb unavailable; exp() falls back to the ladder
-
-  const unsigned h = teeth == 0 ? 6 : (teeth > 8 ? 8 : teeth);
-  t.teeth_ = h;
+  constexpr unsigned h = FixedBaseTable::kTeeth;
   t.block_ = (t.bits_ + h - 1) / h;
   t.stride_ = k_;
 
@@ -896,24 +799,17 @@ FixedBaseTable ModContext::make_fixed_base(const BigInt& base, std::size_t max_e
 
 Residue ModContext::to_residue(const BigInt& a) const {
   Residue r;
-  r.resize(limb_count());
-  if (mont_) {
-    Ops ops;
-    ArenaFrame frame(tls_arena());
-    Limb* scratch = frame.alloc(2 * k_ + 2);
-    to_mont_raw(a, r.limbs(), scratch, ops);
-    fold(ops);
-  } else if (!a.negative() && a < n_) {
-    a.copy_limbs_to(r.limbs(), r.size());
-  } else {
-    a.mod(n_).copy_limbs_to(r.limbs(), r.size());
-  }
+  r.resize(k_);
+  Ops ops;
+  ArenaFrame frame(tls_arena());
+  Limb* scratch = frame.alloc(2 * k_ + 2);
+  to_mont_raw(a, r.limbs(), scratch, ops);
+  fold(ops);
   return r;
 }
 
 BigInt ModContext::from_residue(const Residue& r) const {
   check_residue(*this, r);
-  if (!mont_) return BigInt::from_limbs(r.limbs(), r.size());
   Ops ops;
   ArenaFrame frame(tls_arena());
   Limb* scratch = frame.alloc(2 * k_ + 2);
@@ -924,23 +820,16 @@ BigInt ModContext::from_residue(const Residue& r) const {
 
 Residue ModContext::one_residue() const {
   Residue r;
-  if (mont_) {
-    r.assign(one_mont_.data(), k_);
-  } else {
-    r.resize(limb_count());
-    r.limbs()[0] = 1;  // n > 1, so 1 is canonical
-  }
+  r.assign(one_mont_.data(), k_);
   return r;
 }
 
 void ModContext::add(const Residue& a, const Residue& b, Residue& out) const {
   check_residue(*this, a);
   check_residue(*this, b);
-  // Works identically in both domains (Montgomery form and canonical values
-  // are linear); the even-modulus path has no precomputed n_limbs_, so take
-  // the limbs straight from the modulus.
-  const std::size_t k = limb_count();
-  const Limb* n = mont_ ? n_limbs_.data() : n_.limbs().data();
+  // The Montgomery form is linear: a*R + b*R = (a + b)*R.
+  const std::size_t k = k_;
+  const Limb* n = n_limbs_.data();
   if (out.size() != k) out.resize(k);
   const Limb* pa = a.limbs();
   const Limb* pb = b.limbs();
@@ -959,8 +848,8 @@ void ModContext::add(const Residue& a, const Residue& b, Residue& out) const {
 void ModContext::sub(const Residue& a, const Residue& b, Residue& out) const {
   check_residue(*this, a);
   check_residue(*this, b);
-  const std::size_t k = limb_count();
-  const Limb* n = mont_ ? n_limbs_.data() : n_.limbs().data();
+  const std::size_t k = k_;
+  const Limb* n = n_limbs_.data();
   if (out.size() != k) out.resize(k);
   const Limb* pa = a.limbs();
   const Limb* pb = b.limbs();
@@ -986,26 +875,16 @@ void ModContext::mul(const Residue& a, const Residue& b, Residue& out) const {
   check_residue(*this, a);
   check_residue(*this, b);
   Ops ops;
-  if (mont_) {
-    if (out.size() != k_) out.resize(k_);
-    ++ops.muls;
-    // Single-kernel call: a small stack buffer beats even the bump arena
-    // (no TLS access, no frame bookkeeping) for inline-width moduli.
-    if (k_ <= Residue::kInlineLimbs) {
-      Limb scratch[2 * Residue::kInlineLimbs + 2];
-      mont_mul_raw(a.limbs(), b.limbs(), out.limbs(), scratch);
-    } else {
-      ArenaFrame frame(tls_arena());
-      mont_mul_raw(a.limbs(), b.limbs(), out.limbs(), frame.alloc(2 * k_ + 2));
-    }
+  if (out.size() != k_) out.resize(k_);
+  ++ops.muls;
+  // Single-kernel call: a small stack buffer beats even the bump arena (no
+  // TLS access, no frame bookkeeping) for inline-width moduli.
+  if (k_ <= Residue::kInlineLimbs) {
+    Limb scratch[2 * Residue::kInlineLimbs + 2];
+    mont_mul_raw(a.limbs(), b.limbs(), out.limbs(), scratch);
   } else {
-    // Even-modulus fallback: schoolbook through BigInt (may allocate).
-    ++ops.muls;
-    const BigInt r =
-        (BigInt::from_limbs(a.limbs(), a.size()) * BigInt::from_limbs(b.limbs(), b.size()))
-            .mod(n_);
-    out.resize(limb_count());
-    r.copy_limbs_to(out.limbs(), out.size());
+    ArenaFrame frame(tls_arena());
+    mont_mul_raw(a.limbs(), b.limbs(), out.limbs(), frame.alloc(2 * k_ + 2));
   }
   fold(ops);
 }
@@ -1013,22 +892,14 @@ void ModContext::mul(const Residue& a, const Residue& b, Residue& out) const {
 void ModContext::sqr(const Residue& a, Residue& out) const {
   check_residue(*this, a);
   Ops ops;
-  if (mont_) {
-    if (out.size() != k_) out.resize(k_);
-    ++ops.sqrs;
-    if (k_ <= Residue::kInlineLimbs) {
-      Limb scratch[2 * Residue::kInlineLimbs + 2];
-      mont_sqr_raw(a.limbs(), out.limbs(), scratch);
-    } else {
-      ArenaFrame frame(tls_arena());
-      mont_sqr_raw(a.limbs(), out.limbs(), frame.alloc(2 * k_ + 2));
-    }
+  if (out.size() != k_) out.resize(k_);
+  ++ops.sqrs;
+  if (k_ <= Residue::kInlineLimbs) {
+    Limb scratch[2 * Residue::kInlineLimbs + 2];
+    mont_sqr_raw(a.limbs(), out.limbs(), scratch);
   } else {
-    ++ops.sqrs;
-    const BigInt v = BigInt::from_limbs(a.limbs(), a.size());
-    const BigInt r = (v * v).mod(n_);
-    out.resize(limb_count());
-    r.copy_limbs_to(out.limbs(), out.size());
+    ArenaFrame frame(tls_arena());
+    mont_sqr_raw(a.limbs(), out.limbs(), frame.alloc(2 * k_ + 2));
   }
   fold(ops);
 }
@@ -1036,25 +907,15 @@ void ModContext::sqr(const Residue& a, Residue& out) const {
 void ModContext::exp(const Residue& base, const BigInt& e, Residue& out) const {
   check_residue(*this, base);
   Ops ops;
-  if (mont_ && !e.negative()) {
-    if (out.size() != k_) out.resize(k_);
+  if (out.size() != k_) out.resize(k_);
+  if (!e.negative()) {
     exp_mont_raw(base.limbs(), e, out.limbs(), ops);
   } else {
-    // Negative exponent or even modulus: round-trip through BigInt.
-    BigInt b;
-    if (mont_) {
-      ArenaFrame frame(tls_arena());
-      Limb* scratch = frame.alloc(2 * k_ + 2);
-      b = from_mont_raw(base.limbs(), scratch, ops);
-      const BigInt r = exp_any(b, e, ops);
-      if (out.size() != k_) out.resize(k_);
-      to_mont_raw(r, out.limbs(), scratch, ops);
-    } else {
-      b = BigInt::from_limbs(base.limbs(), base.size());
-      const BigInt r = exp_any(b, e, ops);
-      out.resize(limb_count());
-      r.copy_limbs_to(out.limbs(), out.size());
-    }
+    // Negative exponent: round-trip through BigInt inversion.
+    ArenaFrame frame(tls_arena());
+    Limb* scratch = frame.alloc(2 * k_ + 2);
+    const BigInt r = exp_any(from_mont_raw(base.limbs(), scratch, ops), e, ops);
+    to_mont_raw(r, out.limbs(), scratch, ops);
   }
   g_exps.fetch_add(1, std::memory_order_relaxed);
   fold(ops);
@@ -1065,21 +926,14 @@ void ModContext::exp(const FixedBaseTable& table, const BigInt& e, Residue& out)
     throw std::invalid_argument("ModContext::exp: fixed-base table from another modulus");
   }
   Ops ops;
-  if (table.comb_available() && mont_ && !e.negative() &&
-      e.bit_length() <= table.bits_) {
-    if (out.size() != k_) out.resize(k_);
+  if (out.size() != k_) out.resize(k_);
+  if (!e.negative() && e.bit_length() <= table.bits_) {
     exp_comb_raw(table, e, out.limbs(), ops);
   } else {
     const BigInt r = exp_any(table.base_, e, ops);
-    if (mont_) {
-      if (out.size() != k_) out.resize(k_);
-      ArenaFrame frame(tls_arena());
-      Limb* scratch = frame.alloc(2 * k_ + 2);
-      to_mont_raw(r, out.limbs(), scratch, ops);
-    } else {
-      out.resize(limb_count());
-      r.copy_limbs_to(out.limbs(), out.size());
-    }
+    ArenaFrame frame(tls_arena());
+    Limb* scratch = frame.alloc(2 * k_ + 2);
+    to_mont_raw(r, out.limbs(), scratch, ops);
   }
   g_exps.fetch_add(1, std::memory_order_relaxed);
   fold(ops);
@@ -1096,15 +950,6 @@ bool sqrt_mod_p3(const ModContext& ctx, const BigInt& a, BigInt& out) {
   if (ctx.mul(candidate, candidate) != a.mod(p)) return false;
   out = candidate;
   return true;
-}
-
-BigInt mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m) {
-  if (m.is_zero()) throw std::domain_error("mod_exp: zero modulus");
-  if (m.negative()) throw std::domain_error("mod_exp: negative modulus");
-  if (m.is_one()) return BigInt{};
-  // Compatibility shim: every call pays a full context derivation. Hot paths
-  // construct a ModContext once and reuse it.
-  return ModContext(m).exp(base, exp);
 }
 
 }  // namespace idgka::mpint

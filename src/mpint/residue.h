@@ -1,8 +1,7 @@
 // Residue — fixed-width limb storage for one modular-arithmetic operand.
 //
 // A Residue is the in-domain representation used by ModContext's hot paths:
-// for an odd (Montgomery) modulus it holds the Montgomery form a*R mod n, for
-// an even modulus the canonical value a mod n. Its storage is a fixed-capacity
+// it holds the Montgomery form a*R mod n. Its storage is a fixed-capacity
 // inline limb array sized at construction from the owning context's limb
 // count, so every arithmetic step (mont_mul, mont_sqr, exp ladders, comb
 // walks) runs without touching the heap; moduli wider than kInlineLimbs
@@ -61,7 +60,7 @@ class Residue {
     return heap_ ? heap_.get() : inline_.data();
   }
 
-  /// Does this residue represent 0? (Zero maps to zero in both domains.)
+  /// Does this residue represent 0? (Zero is its own Montgomery form.)
   [[nodiscard]] bool is_zero() const {
     for (std::size_t i = 0; i < k_; ++i) {
       if (limbs()[i] != 0) return false;
@@ -70,7 +69,7 @@ class Residue {
   }
 
   /// Limb-wise equality: two residues of one context compare equal iff they
-  /// represent the same element (both domains keep a unique representative).
+  /// represent the same element (the Montgomery form is canonical in [0, n)).
   bool operator==(const Residue& o) const {
     return k_ == o.k_ && std::memcmp(limbs(), o.limbs(), k_ * sizeof(Limb)) == 0;
   }

@@ -43,10 +43,6 @@ DsaKeyPair dsa_generate_keypair(const DsaParams& params, const mpint::ModContext
   return kp;
 }
 
-DsaKeyPair dsa_generate_keypair(const DsaParams& params, mpint::Rng& rng) {
-  return dsa_generate_keypair(params, mpint::ModContext(params.p), rng);
-}
-
 DsaCommittedSignature dsa_sign_committed(const DsaParams& params,
                                          const mpint::ModContext& ctx_p, const DsaKeyPair& key,
                                          std::span<const std::uint8_t> message,
@@ -71,11 +67,6 @@ DsaSignature dsa_sign(const DsaParams& params, const mpint::ModContext& ctx_p,
   return dsa_sign_committed(params, ctx_p, key, message, rng).sig;
 }
 
-DsaSignature dsa_sign(const DsaParams& params, const DsaKeyPair& key,
-                      std::span<const std::uint8_t> message, mpint::Rng& rng) {
-  return dsa_sign(params, mpint::ModContext(params.p), key, message, rng);
-}
-
 bool dsa_verify(const DsaParams& params, const mpint::ModContext& ctx_p, const BigInt& y,
                 std::span<const std::uint8_t> message, const DsaSignature& sig) {
   require_ctx_p(params, ctx_p, "dsa_verify");
@@ -94,11 +85,6 @@ bool dsa_verify(const DsaParams& params, const mpint::ModContext& ctx_p, const B
   ctx_p.mul(acc, term, acc);
   const BigInt v = ctx_p.from_residue(acc).mod(params.q);
   return v == sig.r;
-}
-
-bool dsa_verify(const DsaParams& params, const BigInt& y,
-                std::span<const std::uint8_t> message, const DsaSignature& sig) {
-  return dsa_verify(params, mpint::ModContext(params.p), y, message, sig);
 }
 
 namespace {

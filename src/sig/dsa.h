@@ -50,16 +50,11 @@ struct DsaCommittedSignature {
 [[nodiscard]] DsaKeyPair dsa_generate_keypair(const DsaParams& params,
                                               const mpint::ModContext& ctx_p,
                                               mpint::Rng& rng);
-/// Compatibility shim: derives a transient mod-p context per call.
-[[nodiscard]] DsaKeyPair dsa_generate_keypair(const DsaParams& params, mpint::Rng& rng);
 
 /// Signs SHA-256(message) truncated to |q| bits, reusing the caller's mod-p
 /// context.
 [[nodiscard]] DsaSignature dsa_sign(const DsaParams& params, const mpint::ModContext& ctx_p,
                                     const DsaKeyPair& key,
-                                    std::span<const std::uint8_t> message, mpint::Rng& rng);
-/// Compatibility shim: derives a transient mod-p context per call.
-[[nodiscard]] DsaSignature dsa_sign(const DsaParams& params, const DsaKeyPair& key,
                                     std::span<const std::uint8_t> message, mpint::Rng& rng);
 
 /// Verifies a signature against public key `y`, reusing the caller's mod-p
@@ -67,9 +62,6 @@ struct DsaCommittedSignature {
 [[nodiscard]] bool dsa_verify(const DsaParams& params, const mpint::ModContext& ctx_p,
                               const BigInt& y, std::span<const std::uint8_t> message,
                               const DsaSignature& sig);
-/// Compatibility shim: derives a transient mod-p context per call.
-[[nodiscard]] bool dsa_verify(const DsaParams& params, const BigInt& y,
-                              std::span<const std::uint8_t> message, const DsaSignature& sig);
 
 /// Signs like dsa_sign but additionally returns the commitment R = g^k, so
 /// the signature can enter a batch verification.

@@ -1,7 +1,7 @@
-// Event-driven protocol engine tests: RoundTask state machine, Executor
-// run multiplexing (timer + frame-arrival resumption, deterministic event
-// order under parallel batches), the engine-hosted driver, and the
-// multi-group scenario runner (M concurrent clusters on one clock).
+// Event-driven protocol engine tests: Executor run multiplexing (timer +
+// frame-arrival resumption, deterministic event order under parallel
+// batches), the engine-hosted driver, and the multi-group scenario runner
+// (M concurrent clusters on one clock).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/round_task.h"
-#include "gka/exchange.h"
 #include "gka/session.h"
 #include "sim/driver.h"
 #include "sim/scenario.h"
@@ -22,107 +20,6 @@ namespace {
 
 using engine::Executor;
 using engine::ProtocolRun;
-using engine::RoundTask;
-
-net::Message msg_from(std::uint32_t sender, const char* type = "round") {
-  net::Message m;
-  m.sender = sender;
-  m.type = type;
-  m.payload.put_u32("id", sender);
-  m.declared_bits = 64;
-  return m;
-}
-
-std::vector<std::uint32_t> add_nodes(net::Network& net, std::size_t n) {
-  std::vector<std::uint32_t> ids;
-  for (std::uint32_t i = 1; i <= n; ++i) {
-    net.add_node(i);
-    ids.push_back(i);
-  }
-  return ids;
-}
-
-// ----------------------------------------------------------------- RoundTask
-
-TEST(RoundTask, LosslessRoundWalksTransmitAwaitDone) {
-  net::Network net;
-  const auto ids = add_nodes(net, 4);
-  std::vector<engine::RoundSend> sends;
-  for (const auto id : ids) sends.push_back({msg_from(id), ids});
-
-  RoundTask task(net, sends, ids, /*retries=*/4);
-  ASSERT_EQ(task.state(), RoundTask::State::kTransmit);
-  ASSERT_EQ(task.step(), RoundTask::State::kAwait);  // everything on the air
-  EXPECT_EQ(task.attempts(), 1);
-  // Lockstep network: delivery already happened; draining completes.
-  ASSERT_EQ(task.step(), RoundTask::State::kDone);
-  EXPECT_TRUE(task.done());
-
-  const engine::RoundResult result = task.take_result();
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.retransmissions, 0);
-  for (const auto rx : ids) EXPECT_EQ(result.collected.at(rx).size(), 3U);
-}
-
-TEST(RoundTask, NothingToSendCompletesImmediately) {
-  net::Network net;
-  const auto ids = add_nodes(net, 2);
-  const std::vector<engine::RoundSend> sends;  // empty round
-  RoundTask task(net, sends, ids, 4);
-  EXPECT_EQ(task.step(), RoundTask::State::kDone);
-  EXPECT_TRUE(task.take_result().complete);
-}
-
-TEST(RoundTask, LossWalksThroughRetransmitState) {
-  net::Network net(/*loss_rate=*/0.4, /*seed=*/7);
-  const auto ids = add_nodes(net, 5);
-  std::vector<engine::RoundSend> sends;
-  for (const auto id : ids) sends.push_back({msg_from(id), ids});
-
-  RoundTask task(net, sends, ids, /*retries=*/64);
-  bool saw_retransmit = false;
-  int steps = 0;
-  while (!task.done()) {
-    const RoundTask::State state = task.step();
-    saw_retransmit = saw_retransmit || state == RoundTask::State::kRetransmit;
-    ASSERT_LT(++steps, 1000);
-  }
-  EXPECT_TRUE(saw_retransmit);
-  const engine::RoundResult result = task.take_result();
-  EXPECT_TRUE(result.complete);
-  EXPECT_GT(result.retransmissions, 0);
-  EXPECT_GT(task.attempts(), 1);
-}
-
-TEST(RoundTask, ShimMatchesDirectStateMachine) {
-  // gka::exchange_round is a shim over RoundTask: identically-seeded
-  // networks must yield identical collections and retransmission counts.
-  auto run_direct = [] {
-    net::Network net(0.3, 11);
-    const auto ids = add_nodes(net, 4);
-    std::vector<engine::RoundSend> sends;
-    for (const auto id : ids) sends.push_back({msg_from(id), ids});
-    RoundTask task(net, sends, ids, 64);
-    while (!task.done()) task.step();
-    return task.take_result();
-  };
-  auto run_shim = [] {
-    net::Network net(0.3, 11);
-    const auto ids = add_nodes(net, 4);
-    std::vector<gka::RoundSend> sends;
-    for (const auto id : ids) sends.push_back({msg_from(id), ids});
-    return gka::exchange_round(net, sends, ids);
-  };
-  const engine::RoundResult a = run_direct();
-  const gka::RoundResult b = run_shim();
-  EXPECT_EQ(a.complete, b.complete);
-  EXPECT_EQ(a.retransmissions, b.retransmissions);
-  ASSERT_EQ(a.collected.size(), b.collected.size());
-  for (const auto& [rx, by_sender] : a.collected) {
-    ASSERT_TRUE(b.collected.contains(rx));
-    EXPECT_EQ(by_sender.size(), b.collected.at(rx).size());
-  }
-}
 
 // ------------------------------------------------------------------ Executor
 

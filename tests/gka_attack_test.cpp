@@ -264,13 +264,12 @@ TEST(TauReuseAttack, RecoversLongTermSecretFromTwoLeaves) {
   const BigInt ratio =
       mpint::mod_mul(r1.s, mpint::mod_inverse(r2.s, params.gq.n), params.gq.n);
   const BigInt h_u = sig::gq_hash_id(params.gq, victim);
-  const BigInt recovered = mpint::mod_mul(mpint::mod_exp(ratio, alpha, params.gq.n),
-                                          mpint::mod_exp(h_u, beta, params.gq.n),
-                                          params.gq.n);
+  const mpint::ModContext& ctx_n = *params.ctx_n;
+  const BigInt recovered = ctx_n.mul(ctx_n.exp(ratio, alpha), ctx_n.exp(h_u, beta));
 
   // The recovered value is the victim's PKG-extracted long-term secret:
   // verify the key equation S^e == H(U) and forge a signature with it.
-  EXPECT_EQ(mpint::mod_exp(recovered, params.gq.e, params.gq.n), h_u);
+  EXPECT_EQ(ctx_n.exp(recovered, params.gq.e), h_u);
   hash::HmacDrbg rng(1, "forge");
   const sig::GqSigner forger(params.gq, victim, recovered);
   const std::vector<std::uint8_t> msg = {'p', 'w', 'n'};

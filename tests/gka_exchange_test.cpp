@@ -1,5 +1,7 @@
 // Reliable-round exchange tests: completion, retransmission accounting,
-// unicast routing, retry-cap behaviour.
+// unicast routing, retry-cap behaviour, and the round loop's waits (one
+// Network::await_delivery() per transmit attempt, counted through the
+// round barrier).
 #include "gka/exchange.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +41,57 @@ TEST(ExchangeRound, LosslessBroadcastCompletesFirstAttempt) {
     EXPECT_EQ(r.collected.at(rx).size(), 3U);  // everyone except self
     EXPECT_FALSE(r.collected.at(rx).contains(rx));
   }
+}
+
+TEST(ExchangeRound, LosslessRoundAwaitsExactlyOnce) {
+  net::Network net;
+  const auto ids = nodes(net, 4);
+  int awaits = 0;
+  net.set_round_barrier([&] { ++awaits; });
+  std::vector<RoundSend> sends;
+  for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
+  const RoundResult r = exchange_round(net, sends, ids, /*max_retries=*/4);
+  EXPECT_EQ(awaits, 1);  // everything on the air, one wait, drained complete
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.retransmissions, 0);
+  for (const auto rx : ids) EXPECT_EQ(r.collected.at(rx).size(), 3U);
+}
+
+TEST(ExchangeRound, EmptyRoundCompletesWithoutAwaiting) {
+  net::Network net;
+  const auto ids = nodes(net, 2);
+  int awaits = 0;
+  net.set_round_barrier([&] { ++awaits; });
+  const std::vector<RoundSend> sends;  // nothing to transmit
+  const RoundResult r = exchange_round(net, sends, ids, 4);
+  EXPECT_EQ(awaits, 0);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.retransmissions, 0);
+}
+
+TEST(ExchangeRound, LossyRoundAwaitsOncePerAttempt) {
+  net::Network net(/*loss_rate=*/0.4, /*seed=*/7);
+  const auto ids = nodes(net, 5);
+  std::size_t transmitted = 0;
+  net.set_sniffer([&](const net::Message&) { ++transmitted; });
+  // Transmissions on the air at each await: every attempt transmits at
+  // least one frame, then waits exactly once.
+  std::vector<std::size_t> tx_at_await;
+  net.set_round_barrier([&] { tx_at_await.push_back(transmitted); });
+  std::vector<RoundSend> sends;
+  for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
+  const RoundResult r = exchange_round(net, sends, ids, /*max_retries=*/64);
+  ASSERT_TRUE(r.complete);
+  EXPECT_GT(r.retransmissions, 0);
+  ASSERT_GT(tx_at_await.size(), 1U);
+  EXPECT_EQ(tx_at_await.front(), sends.size());  // first attempt sends everyone
+  for (std::size_t i = 1; i < tx_at_await.size(); ++i) {
+    EXPECT_GT(tx_at_await[i], tx_at_await[i - 1]) << "await " << i << " without a transmit";
+  }
+  // Nothing goes on the air after the last wait, and every frame past the
+  // first attempt is a counted retransmission.
+  EXPECT_EQ(tx_at_await.back(), transmitted);
+  EXPECT_EQ(transmitted, sends.size() + static_cast<std::size_t>(r.retransmissions));
 }
 
 TEST(ExchangeRound, UnicastOnlyReachesRecipient) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mpint/mod_context.h"
 #include "mpint/random.h"
 
 namespace idgka::mpint {
@@ -223,18 +224,20 @@ TEST(NumberTheory, ModInverse) {
 }
 
 TEST(NumberTheory, ModExpKnownValues) {
-  EXPECT_EQ(mod_exp(BigInt{2}, BigInt{10}, BigInt{1000}).to_dec(), "24");
-  EXPECT_EQ(mod_exp(BigInt{3}, BigInt{0}, BigInt{7}), BigInt{1});
-  EXPECT_EQ(mod_exp(BigInt{0}, BigInt{5}, BigInt{7}), BigInt{});
+  EXPECT_EQ(ModContext(BigInt{1001}).exp(BigInt{2}, BigInt{10}).to_dec(), "23");
+  const ModContext ctx7(BigInt{7});
+  EXPECT_EQ(ctx7.exp(BigInt{3}, BigInt{0}), BigInt{1});
+  EXPECT_EQ(ctx7.exp(BigInt{0}, BigInt{5}), BigInt{});
   // Fermat: a^(p-1) = 1 mod p
   const BigInt p = BigInt::from_dec("1000000007");
-  EXPECT_EQ(mod_exp(BigInt{123456}, p - BigInt{1}, p), BigInt{1});
+  EXPECT_EQ(ModContext(p).exp(BigInt{123456}, p - BigInt{1}), BigInt{1});
 }
 
 TEST(NumberTheory, ModExpNegativeExponent) {
   const BigInt p = BigInt::from_dec("1000000007");
+  const ModContext ctx(p);
   const BigInt a{12345};
-  EXPECT_EQ(mod_mul(mod_exp(a, BigInt{-3}, p), mod_exp(a, BigInt{3}, p), p), BigInt{1});
+  EXPECT_EQ(mod_mul(ctx.exp(a, BigInt{-3}), ctx.exp(a, BigInt{3}), p), BigInt{1});
 }
 
 TEST(NumberTheory, JacobiSymbol) {
@@ -251,10 +254,11 @@ TEST(NumberTheory, JacobiSymbol) {
 
 TEST(NumberTheory, SqrtModP3) {
   const BigInt p{103};  // 103 % 4 == 3
+  const ModContext ctx(p);
   int qr_count = 0;
   for (std::uint64_t a = 1; a < 103; ++a) {
     BigInt root;
-    if (sqrt_mod_p3(BigInt{a}, p, root)) {
+    if (sqrt_mod_p3(ctx, BigInt{a}, root)) {
       ++qr_count;
       EXPECT_EQ(mod_mul(root, root, p), BigInt{a});
     }

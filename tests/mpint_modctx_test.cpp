@@ -1,7 +1,7 @@
-// Property tests for the shared modular-arithmetic context layer: ModContext
-// exponentiation cross-checked against naive square-and-multiply, the
-// even-modulus fallback path, fixed-base comb tables and the process-wide
-// operation counters.
+// Property tests for the modular-arithmetic context layer: ModContext
+// exponentiation, multiplication and products cross-checked against naive
+// square-and-multiply over mod_mul, every sliding-window width, fixed-base
+// comb tables, the residue API and the process-wide operation counters.
 #include "mpint/mod_context.h"
 
 #include <gtest/gtest.h>
@@ -27,26 +27,21 @@ TEST(ModContext, RejectsDegenerateModulus) {
   EXPECT_THROW(ModContext(BigInt{0}), std::invalid_argument);
   EXPECT_THROW(ModContext(BigInt{1}), std::invalid_argument);
   EXPECT_THROW(ModContext(BigInt{-7}), std::invalid_argument);
-  EXPECT_NO_THROW(ModContext(BigInt{2}));  // even moduli take the generic path
+  EXPECT_THROW(ModContext(BigInt{2}), std::invalid_argument);     // even
+  EXPECT_THROW(ModContext(BigInt{1000}), std::invalid_argument);  // even
+  EXPECT_NO_THROW(ModContext(BigInt{3}));
 }
 
 TEST(ModContext, ExpMatchesNaiveOn500RandomTriples) {
   XoshiroRng rng(2026);
   for (int i = 0; i < 500; ++i) {
-    // Mixed sizes (1..4 limbs) and parities: every 4th modulus is even, so
-    // both the Montgomery and the generic engine are exercised.
+    // Mixed sizes (1..4 limbs), odd moduli.
     const std::size_t bits = 16 + static_cast<std::size_t>(rng.next_u64() % 240);
     BigInt m = random_bits(rng, bits);
-    if (m <= BigInt{1}) m = BigInt{2};
-    if (i % 4 == 0) {
-      if (m.is_odd()) m += BigInt{1};
-    } else if (m.is_even()) {
-      m += BigInt{1};
-    }
+    if (m.is_even()) m += BigInt{1};
     const BigInt base = random_bits(rng, 8 + static_cast<std::size_t>(rng.next_u64() % 256));
     const BigInt exp = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % 160));
     const ModContext ctx(m);
-    EXPECT_EQ(ctx.montgomery(), m.is_odd());
     EXPECT_EQ(ctx.exp(base, exp), naive_pow(base, exp, m))
         << "triple " << i << ": base=" << base.to_hex() << " exp=" << exp.to_hex()
         << " m=" << m.to_hex();
@@ -54,7 +49,7 @@ TEST(ModContext, ExpMatchesNaiveOn500RandomTriples) {
 }
 
 TEST(ModContext, ExpEdgeCases) {
-  for (const std::uint64_t mod : {101ULL, 256ULL}) {  // odd + even-fallback
+  for (const std::uint64_t mod : {101ULL, 255ULL}) {  // prime + composite
     const BigInt m{mod};
     const ModContext ctx(m);
     EXPECT_EQ(ctx.exp(BigInt{5}, BigInt{0}), BigInt{1});           // exp = 0
@@ -75,15 +70,17 @@ TEST(ModContext, ExponentLawsAcrossWindowSizes) {
   BigInt m = random_bits(rng, 512);
   if (m.is_even()) m += BigInt{1};
   const BigInt g = random_below(rng, m);
-  // Exponents wide enough (> 239 bits) that fit_window() keeps the
-  // configured width — otherwise w = 5/8 would silently re-test w = 4.
-  const BigInt a = random_bits(rng, 300);
-  const BigInt b = random_bits(rng, 300);
-  const BigInt want = ModContext(m).exp(g, a + b);
-  for (const unsigned w : {2U, 4U, 5U, 8U}) {
-    const ModContext ctx(m, w);
-    EXPECT_EQ(ctx.window_bits(), w);
-    EXPECT_EQ(ctx.mul(ctx.exp(g, a), ctx.exp(g, b)), want) << "window " << w;
+  const ModContext ctx(m);
+  // fit_window() picks the window from the exponent width: <= 23 bits run
+  // 2-bit windows, <= 79 bits 3, <= 239 bits 4, and wider ones the 5 bits a
+  // 512-bit modulus allows.
+  for (const std::size_t bits : {20U, 70U, 200U, 300U}) {
+    const BigInt a = random_bits(rng, bits);
+    const BigInt b = random_bits(rng, bits);
+    // g^(a+b) == g^a * g^b, (g^a)^b == (g^b)^a, and the naive ladder agrees.
+    EXPECT_EQ(ctx.mul(ctx.exp(g, a), ctx.exp(g, b)), ctx.exp(g, a + b)) << bits << " bits";
+    EXPECT_EQ(ctx.exp(ctx.exp(g, a), b), ctx.exp(ctx.exp(g, b), a)) << bits << " bits";
+    EXPECT_EQ(ctx.exp(g, a), naive_pow(g, a, m)) << bits << " bits";
   }
 }
 
@@ -94,14 +91,15 @@ TEST(ModContext, FixedBaseCombMatchesGenericExp) {
     if (m.is_even()) m += BigInt{1};
     const ModContext ctx(m);
     const BigInt g = random_below(rng, m);
-    const std::size_t exp_bits = 160;
-    for (const unsigned teeth : {0U, 3U, 6U}) {  // 0 = default
-      const FixedBaseTable table = ctx.make_fixed_base(g, exp_bits, teeth);
-      EXPECT_TRUE(table.comb_available());
+    // Table widths: narrower than the 6 teeth (one-bit blocks), the GKA's
+    // 160-bit q, and a width the teeth do not divide.
+    for (const std::size_t exp_bits : {std::size_t{5}, std::size_t{160}, std::size_t{517}}) {
+      const FixedBaseTable table = ctx.make_fixed_base(g, exp_bits);
+      EXPECT_EQ(table.teeth(), 6U);
       EXPECT_GT(table.table_bytes(), 0U);
       for (int i = 0; i < 12; ++i) {
         const BigInt e = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % exp_bits));
-        EXPECT_EQ(ctx.exp(table, e), ctx.exp(g, e)) << "teeth " << teeth;
+        EXPECT_EQ(ctx.exp(table, e), ctx.exp(g, e)) << "width " << exp_bits;
       }
       // Edges: zero, one, all-ones at full width, and overflow fallback.
       EXPECT_EQ(ctx.exp(table, BigInt{0}), BigInt{1});
@@ -112,13 +110,6 @@ TEST(ModContext, FixedBaseCombMatchesGenericExp) {
       EXPECT_EQ(ctx.exp(table, wide), ctx.exp(g, wide));
     }
   }
-}
-
-TEST(ModContext, FixedBaseEvenModulusFallsBack) {
-  const ModContext ctx(BigInt{1000});
-  const FixedBaseTable table = ctx.make_fixed_base(BigInt{2}, 64);
-  EXPECT_FALSE(table.comb_available());
-  EXPECT_EQ(ctx.exp(table, BigInt{10}), BigInt{24});  // 2^10 mod 1000
 }
 
 TEST(ModContext, FixedBaseTableRejectsForeignModulus) {
@@ -145,13 +136,7 @@ TEST(ModContext, MultiExpMatchesNaiveOn500RandomTuples) {
   for (int i = 0; i < 500; ++i) {
     const std::size_t bits = 16 + static_cast<std::size_t>(rng.next_u64() % 240);
     BigInt m = random_bits(rng, bits);
-    if (m <= BigInt{1}) m = BigInt{3};
-    if (i % 4 == 0) {
-      // Every 4th modulus even: the sequential generic fallback.
-      if (m.is_odd()) m += BigInt{1};
-    } else if (m.is_even()) {
-      m += BigInt{1};
-    }
+    if (m.is_even()) m += BigInt{1};
     // Arities spanning both engines: 1..8 hits Straus, > 8 hits Pippenger.
     const std::size_t arity = 1 + static_cast<std::size_t>(rng.next_u64() % 24);
     std::vector<BigInt> bases(arity);
@@ -212,24 +197,6 @@ TEST(ModContext, MultiExpZeroAndNegativeExponents) {
   }
 }
 
-TEST(ModContext, MultiExpEvenModulusFallback) {
-  XoshiroRng rng(7179);
-  const BigInt m{1000};
-  const ModContext ctx(m);
-  EXPECT_FALSE(ctx.montgomery());
-  for (int i = 0; i < 10; ++i) {
-    std::vector<BigInt> bases(5);
-    std::vector<BigInt> exps(5);
-    BigInt want{1};
-    for (std::size_t t = 0; t < 5; ++t) {
-      bases[t] = random_bits(rng, 32);
-      exps[t] = random_bits(rng, 24);
-      want = mod_mul(want, naive_pow(bases[t], exps[t], m), m);
-    }
-    EXPECT_EQ(ctx.multi_exp(bases, exps), want);
-  }
-}
-
 TEST(ModContext, MultiExpRejectsMismatchedSpans) {
   const ModContext ctx(BigInt{101});
   const std::vector<BigInt> bases{BigInt{2}, BigInt{3}};
@@ -239,10 +206,10 @@ TEST(ModContext, MultiExpRejectsMismatchedSpans) {
 
 TEST(ModContext, ProductMatchesSequentialMul) {
   XoshiroRng rng(7180);
-  for (const bool odd : {true, false}) {
-    BigInt m = random_bits(rng, 192);
-    if (m.is_odd() != odd) m += BigInt{1};
-    if (m <= BigInt{1}) m = odd ? BigInt{3} : BigInt{4};
+  // One to twenty limbs; each step also checks the pairwise mul().
+  for (const std::size_t bits : {192U, 64U, 640U, 1280U}) {
+    BigInt m = random_bits(rng, bits);
+    if (m.is_even()) m += BigInt{1};
     const ModContext ctx(m);
     for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                                     std::size_t{17}, std::size_t{64}}) {
@@ -251,9 +218,10 @@ TEST(ModContext, ProductMatchesSequentialMul) {
       want = want.mod(m);
       for (BigInt& v : values) {
         v = random_bits(rng, 8 + static_cast<std::size_t>(rng.next_u64() % 256));
+        EXPECT_EQ(ctx.mul(want, v), mod_mul(want, v, m)) << bits << " bits";
         want = mod_mul(want, v, m);
       }
-      EXPECT_EQ(ctx.product(values), want) << "count " << count << " odd " << odd;
+      EXPECT_EQ(ctx.product(values), want) << "count " << count << " bits " << bits;
     }
   }
 }
@@ -276,16 +244,10 @@ TEST(ModContext, MultiExpCounterTracksCalls) {
 TEST(ModContext, ResidueChainMatchesBigIntOn500RandomTriples) {
   XoshiroRng rng(40406);
   for (int i = 0; i < 500; ++i) {
-    // Mixed widths and parities: every 4th modulus is even, so the
-    // canonical (non-Montgomery) residue fallback is exercised too.
+    // Mixed widths (1..4 limbs), odd moduli.
     const std::size_t bits = 16 + static_cast<std::size_t>(rng.next_u64() % 240);
     BigInt m = random_bits(rng, bits);
-    if (m <= BigInt{1}) m = BigInt{2};
-    if (i % 4 == 0) {
-      if (m.is_odd()) m += BigInt{1};
-    } else if (m.is_even()) {
-      m += BigInt{1};
-    }
+    if (m.is_even()) m += BigInt{1};
     const BigInt a = random_bits(rng, 8 + static_cast<std::size_t>(rng.next_u64() % 256));
     const BigInt b = random_bits(rng, 8 + static_cast<std::size_t>(rng.next_u64() % 256));
     const BigInt e = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % 160));
@@ -295,7 +257,8 @@ TEST(ModContext, ResidueChainMatchesBigIntOn500RandomTriples) {
     EXPECT_EQ(ctx.from_residue(ctx.to_residue(a)), a.mod(m));
 
     // add / sub / mul / sqr / exp through the residue domain against the
-    // BigInt API (both domains are linear, so +/- commute with conversion).
+    // BigInt API (the Montgomery form is linear, so +/- commute with
+    // conversion).
     const Residue ra = ctx.to_residue(a);
     const Residue rb = ctx.to_residue(b);
     Residue r;
@@ -314,7 +277,7 @@ TEST(ModContext, ResidueChainMatchesBigIntOn500RandomTriples) {
 }
 
 TEST(ModContext, ResidueEdgeCases) {
-  for (const std::uint64_t mod : {101ULL, 256ULL}) {  // odd + even-fallback
+  for (const std::uint64_t mod : {101ULL, 255ULL}) {  // prime + composite
     const BigInt m{mod};
     const ModContext ctx(m);
     const Residue zero = ctx.to_residue(BigInt{});
@@ -408,7 +371,9 @@ TEST(ModContext, SqrCounterTracksDedicatedKernel) {
   EXPECT_GT(after.mod_muls, mid.mod_muls);
 }
 
-TEST(ModContext, ShimMatchesContext) {
+TEST(ModContext, TransientContextMatchesShared) {
+  // Context derivation is deterministic: a context built per call agrees
+  // with one shared across calls.
   XoshiroRng rng(59);
   BigInt m = random_bits(rng, 192);
   if (m.is_even()) m += BigInt{1};
@@ -416,7 +381,7 @@ TEST(ModContext, ShimMatchesContext) {
   for (int i = 0; i < 20; ++i) {
     const BigInt base = random_below(rng, m);
     const BigInt e = random_bits(rng, 96);
-    EXPECT_EQ(mod_exp(base, e, m), ctx.exp(base, e));
+    EXPECT_EQ(ModContext(m).exp(base, e), ctx.exp(base, e));
   }
 }
 

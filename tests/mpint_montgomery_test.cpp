@@ -1,72 +1,13 @@
-// Tests for Montgomery arithmetic and prime/parameter generation.
-#include "mpint/montgomery.h"
-
+// Tests for prime/parameter generation and the random helpers. Montgomery
+// arithmetic itself is covered by mpint_modctx_test.
 #include <gtest/gtest.h>
 
+#include "mpint/mod_context.h"
 #include "mpint/prime.h"
 #include "mpint/random.h"
 
 namespace idgka::mpint {
 namespace {
-
-TEST(Montgomery, RejectsEvenModulus) {
-  EXPECT_THROW(MontgomeryCtx(BigInt{10}), std::invalid_argument);
-  EXPECT_THROW(MontgomeryCtx(BigInt{1}), std::invalid_argument);
-}
-
-TEST(Montgomery, MulMatchesNaive) {
-  XoshiroRng rng(11);
-  for (int i = 0; i < 20; ++i) {
-    BigInt m = random_bits(rng, 64 + static_cast<std::size_t>(i) * 64);
-    if (m.is_even()) m += BigInt{1};
-    const MontgomeryCtx ctx(m);
-    for (int j = 0; j < 10; ++j) {
-      const BigInt a = random_below(rng, m);
-      const BigInt b = random_below(rng, m);
-      EXPECT_EQ(ctx.mul(a, b), mod_mul(a, b, m));
-    }
-  }
-}
-
-TEST(Montgomery, PowMatchesSquareAndMultiply) {
-  XoshiroRng rng(13);
-  for (int i = 0; i < 10; ++i) {
-    BigInt m = random_bits(rng, 256);
-    if (m.is_even()) m += BigInt{1};
-    const MontgomeryCtx ctx(m);
-    const BigInt base = random_below(rng, m);
-    const BigInt exp = random_bits(rng, 100);
-    // Naive reference.
-    BigInt want{1};
-    for (std::size_t b = exp.bit_length(); b-- > 0;) {
-      want = mod_mul(want, want, m);
-      if (exp.bit(b)) want = mod_mul(want, base, m);
-    }
-    EXPECT_EQ(ctx.pow(base, exp), want);
-  }
-}
-
-TEST(Montgomery, PowEdgeCases) {
-  const MontgomeryCtx ctx(BigInt{101});
-  EXPECT_EQ(ctx.pow(BigInt{5}, BigInt{0}), BigInt{1});
-  EXPECT_EQ(ctx.pow(BigInt{5}, BigInt{1}), BigInt{5});
-  EXPECT_EQ(ctx.pow(BigInt{0}, BigInt{5}), BigInt{});
-  EXPECT_EQ(ctx.pow(BigInt{100}, BigInt{2}), BigInt{1});  // (-1)^2
-}
-
-TEST(Montgomery, PowExponentLaws) {
-  XoshiroRng rng(17);
-  BigInt m = random_bits(rng, 512);
-  if (m.is_even()) m += BigInt{1};
-  const MontgomeryCtx ctx(m);
-  const BigInt g = random_below(rng, m);
-  const BigInt a = random_bits(rng, 128);
-  const BigInt b = random_bits(rng, 128);
-  // g^(a+b) == g^a * g^b
-  EXPECT_EQ(ctx.pow(g, a + b), ctx.mul(ctx.pow(g, a), ctx.pow(g, b)));
-  // (g^a)^b == (g^b)^a
-  EXPECT_EQ(ctx.pow(ctx.pow(g, a), b), ctx.pow(ctx.pow(g, b), a));
-}
 
 TEST(Primality, KnownSmallPrimes) {
   XoshiroRng rng(1);
@@ -112,7 +53,7 @@ TEST(PrimeGen, SchnorrGroupStructure) {
   EXPECT_TRUE(is_probable_prime(grp.q, rng, 12));
   EXPECT_EQ((grp.p - BigInt{1}).mod(grp.q), BigInt{});
   // g has order exactly q.
-  EXPECT_EQ(mod_exp(grp.g, grp.q, grp.p), BigInt{1});
+  EXPECT_EQ(ModContext(grp.p).exp(grp.g, grp.q), BigInt{1});
   EXPECT_NE(grp.g, BigInt{1});
 }
 
@@ -125,7 +66,8 @@ TEST(PrimeGen, GqModulusInverseKeys) {
   EXPECT_EQ(mod_mul(key.e, key.d, phi), BigInt{1});
   // RSA round trip: (x^e)^d == x mod n.
   const BigInt x = random_below(rng, key.n);
-  EXPECT_EQ(mod_exp(mod_exp(x, key.e, key.n), key.d, key.n), x);
+  const ModContext ctx(key.n);
+  EXPECT_EQ(ctx.exp(ctx.exp(x, key.e), key.d), x);
 }
 
 TEST(PrimeGen, SupersingularParams) {

@@ -23,39 +23,44 @@ class DsaFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     hash::HmacDrbg rng(2001, "dsa-params");
     params_ = new DsaParams(dsa_generate_params(rng, 512, 160, 16));
+    ctx_ = new mpint::ModContext(params_->p);
   }
   static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
     delete params_;
     params_ = nullptr;
   }
   static DsaParams* params_;
+  static mpint::ModContext* ctx_;  ///< shared mod-p context
 };
 
 DsaParams* DsaFixture::params_ = nullptr;
+mpint::ModContext* DsaFixture::ctx_ = nullptr;
 
 TEST_F(DsaFixture, SignVerifyRoundTrip) {
   hash::HmacDrbg rng(1, "dsa");
-  const auto kp = dsa_generate_keypair(*params_, rng);
-  const auto sig = dsa_sign(*params_, kp, bytes("attack at dawn"), rng);
-  EXPECT_TRUE(dsa_verify(*params_, kp.y, bytes("attack at dawn"), sig));
+  const auto kp = dsa_generate_keypair(*params_, *ctx_, rng);
+  const auto sig = dsa_sign(*params_, *ctx_, kp, bytes("attack at dawn"), rng);
+  EXPECT_TRUE(dsa_verify(*params_, *ctx_, kp.y, bytes("attack at dawn"), sig));
 }
 
 TEST_F(DsaFixture, RejectsWrongMessageKeyAndTamper) {
   hash::HmacDrbg rng(2, "dsa");
-  const auto kp = dsa_generate_keypair(*params_, rng);
-  const auto kp2 = dsa_generate_keypair(*params_, rng);
-  const auto sig = dsa_sign(*params_, kp, bytes("m1"), rng);
-  EXPECT_FALSE(dsa_verify(*params_, kp.y, bytes("m2"), sig));
-  EXPECT_FALSE(dsa_verify(*params_, kp2.y, bytes("m1"), sig));
+  const auto kp = dsa_generate_keypair(*params_, *ctx_, rng);
+  const auto kp2 = dsa_generate_keypair(*params_, *ctx_, rng);
+  const auto sig = dsa_sign(*params_, *ctx_, kp, bytes("m1"), rng);
+  EXPECT_FALSE(dsa_verify(*params_, *ctx_, kp.y, bytes("m2"), sig));
+  EXPECT_FALSE(dsa_verify(*params_, *ctx_, kp2.y, bytes("m1"), sig));
   auto bad = sig;
   bad.r = (bad.r + BigInt{1}).mod(params_->q);
-  EXPECT_FALSE(dsa_verify(*params_, kp.y, bytes("m1"), bad));
+  EXPECT_FALSE(dsa_verify(*params_, *ctx_, kp.y, bytes("m1"), bad));
   bad = sig;
   bad.s = BigInt{};
-  EXPECT_FALSE(dsa_verify(*params_, kp.y, bytes("m1"), bad));
+  EXPECT_FALSE(dsa_verify(*params_, *ctx_, kp.y, bytes("m1"), bad));
   bad = sig;
   bad.r = params_->q + BigInt{3};
-  EXPECT_FALSE(dsa_verify(*params_, kp.y, bytes("m1"), bad));
+  EXPECT_FALSE(dsa_verify(*params_, *ctx_, kp.y, bytes("m1"), bad));
 }
 
 TEST_F(DsaFixture, SignatureSize) {
@@ -64,12 +69,12 @@ TEST_F(DsaFixture, SignatureSize) {
 
 TEST_F(DsaFixture, DistinctSignaturesPerCall) {
   hash::HmacDrbg rng(3, "dsa");
-  const auto kp = dsa_generate_keypair(*params_, rng);
-  const auto s1 = dsa_sign(*params_, kp, bytes("m"), rng);
-  const auto s2 = dsa_sign(*params_, kp, bytes("m"), rng);
+  const auto kp = dsa_generate_keypair(*params_, *ctx_, rng);
+  const auto s1 = dsa_sign(*params_, *ctx_, kp, bytes("m"), rng);
+  const auto s2 = dsa_sign(*params_, *ctx_, kp, bytes("m"), rng);
   EXPECT_NE(s1.r, s2.r);  // fresh nonce per signature
-  EXPECT_TRUE(dsa_verify(*params_, kp.y, bytes("m"), s1));
-  EXPECT_TRUE(dsa_verify(*params_, kp.y, bytes("m"), s2));
+  EXPECT_TRUE(dsa_verify(*params_, *ctx_, kp.y, bytes("m"), s1));
+  EXPECT_TRUE(dsa_verify(*params_, *ctx_, kp.y, bytes("m"), s2));
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ TEST(Certificates, DsaIssueVerifyRoundTrip) {
   hash::HmacDrbg rng(11, "pki");
   const auto params = dsa_generate_params(rng, 512, 160, 12);
   pki::CertificateAuthority ca(params, rng);
-  const auto kp = dsa_generate_keypair(params, rng);
+  const auto kp = dsa_generate_keypair(params, mpint::ModContext(params.p), rng);
   auto cert = ca.issue(7, pki::encode_dsa_public(params, kp.y), rng);
   EXPECT_TRUE(ca.verify(cert));
   const auto decoded = pki::decode_dsa_public(params, cert.subject_public_key);

@@ -72,7 +72,7 @@ TEST_F(GqFixture, SharedContextMustMatchModulus) {
 TEST_F(GqFixture, ExtractSatisfiesKeyEquation) {
   // S_ID^e == H(ID) mod n.
   const BigInt s_id = extract(7);
-  const BigInt lhs = mpint::mod_exp(s_id, pkg_->params().e, pkg_->params().n);
+  const BigInt lhs = ctx_->exp(s_id, pkg_->params().e);
   EXPECT_EQ(lhs, gq_hash_id(pkg_->params(), 7));
 }
 
