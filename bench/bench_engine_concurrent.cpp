@@ -210,13 +210,12 @@ int main(int argc, char** argv) {
   std::printf("deterministic repeat: %s | seeds diverge: %s | max concurrent runs: %zu/%zu\n",
               deterministic ? "yes" : "NO", seeds_diverge ? "yes" : "NO",
               metrics.max_concurrent_runs, kGroups);
+  const sim::LatencySummary latency = sim::summarize_latency(metrics.all_op_latencies_us());
   std::printf("engine resumes: %llu | aggregate rekeys: %zu/%zu | p50 %.1f ms | p99 %.1f ms\n",
               static_cast<unsigned long long>(metrics.engine_resumes),
               metrics.rekeys_completed(), metrics.rekeys_attempted(),
-              static_cast<double>(sim::percentile_us(metrics.all_op_latencies_us(), 50.0)) /
-                  1000.0,
-              static_cast<double>(sim::percentile_us(metrics.all_op_latencies_us(), 99.0)) /
-                  1000.0);
+              static_cast<double>(latency.p50_us) / 1000.0,
+              static_cast<double>(latency.p99_us) / 1000.0);
 
   std::ofstream out("BENCH_engine.json");
   char head[640];

@@ -89,13 +89,13 @@ int main() {
       const sim::Metrics repeat = sim::ScenarioRunner(cfg).run();
       row.deterministic = row.metrics.to_json() == repeat.to_json();
 
+      const sim::LatencySummary latency =
+          sim::summarize_latency(row.metrics.op_latencies_us.all);
       std::printf("%6zu %5.0f%% %9.1f %3zu/%-3zu %11.1f%% %12.1f %12.1f %11.1f %6s\n", n,
                   loss * 100.0, row.wall_ms, row.metrics.rekeys_completed,
                   row.metrics.rekeys_attempted, row.metrics.convergence() * 100.0,
-                  static_cast<double>(sim::percentile_us(row.metrics.rekey_latencies_us, 50.0)) /
-                      1000.0,
-                  static_cast<double>(sim::percentile_us(row.metrics.rekey_latencies_us, 99.0)) /
-                      1000.0,
+                  static_cast<double>(latency.p50_us) / 1000.0,
+                  static_cast<double>(latency.p99_us) / 1000.0,
                   static_cast<double>(row.metrics.bits_on_air) / 1000.0,
                   row.deterministic ? "yes" : "NO");
       ok = ok && row.deterministic && row.metrics.form_success &&

@@ -56,31 +56,13 @@ void Network::enqueue(std::vector<wire::Frame>& inbox, const wire::Frame& frame,
   OBS_COUNT("net.rx_copies", 1);
   OBS_COUNT("net.rx_encoded_bits", frame.size_bits());
 
-  wire::Frame out = frame;  // shared buffer; O(1)
-  if (frame_tamper_) {
-    std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
-    if (!frame_tamper_(bytes, to)) return;  // jammed
-    out = wire::Frame(std::move(bytes), frame.accounted_bits(), frame.sender());
+  if (!frame_tamper_) {
+    inbox.push_back(frame);  // shared buffer; O(1)
+    return;
   }
-  if (tamper_) {
-    Message msg;
-    try {
-      msg = wire::decode(out);
-    } catch (const wire::DecodeError&) {
-      // A byte-level adversary corrupted the copy before the typed hook
-      // could see it; the receiver will discard it either way.
-      ++corrupted_;
-      ++st.corrupted_frames;
-      OBS_COUNT("net.corrupted_frames", 1);
-      return;
-    }
-    const Message original = msg;
-    if (!tamper_(msg, to)) return;  // suppressed by the adversary
-    if (!(msg == original)) {
-      out = wire::encode(msg).with_metadata(frame.accounted_bits(), frame.sender());
-    }
-  }
-  inbox.push_back(std::move(out));
+  std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
+  if (!frame_tamper_(bytes, to)) return;  // jammed
+  inbox.emplace_back(std::move(bytes), frame.accounted_bits(), frame.sender());
 }
 
 void Network::deliver(const wire::Frame& frame, std::uint32_t to) {
@@ -116,7 +98,6 @@ wire::Frame Network::encode_and_charge(const Message& msg) {
   wire::assert_roundtrip(msg, frame);
 #endif
   if (frame_sniffer_) frame_sniffer_(frame);
-  if (sniffer_) sniffer_(msg);
   auto& st = stats_[msg.sender];
   ++st.tx_messages;
   st.tx_bits += frame.accounted_bits();

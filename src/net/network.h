@@ -14,7 +14,10 @@
 // Inboxes hold frames; drain() decodes lazily at the receiver, and a frame
 // that fails the strict decode (corrupted on air) is discarded and counted
 // like a real radio discards a frame with a bad checksum — after the rx
-// energy was already spent.
+// energy was already spent. The adversary and observer hooks work at the
+// same level: a tamper hook rewrites or jams the bytes of one delivered
+// copy, a sniffer sees every transmitted frame; either decodes with the
+// public codec when it needs fields.
 //
 // The discrete-event layer (src/sim) turns the same network into a timed
 // medium without touching protocol code: a Transport hook intercepts every
@@ -104,32 +107,22 @@ class Network {
 
   void reset_stats();
 
-  // --- Adversarial/debug hooks (byte level; typed adapters on top) ---
+  // --- Adversarial/debug hooks (byte level, the level the radio works at) ---
 
   /// Byte-level adversary applied to every delivered copy: may rewrite the
   /// frame bytes in place (bit flips, truncation, extension) or return
   /// false to suppress delivery (jamming). Charged rx is always based on
-  /// the original frame as transmitted, never the mutated bytes.
+  /// the original frame as transmitted, never the mutated bytes. A field-
+  /// level adversary decodes the bytes itself with the public codec.
   using FrameTamperHook =
       std::function<bool(std::vector<std::uint8_t>& bytes, std::uint32_t receiver)>;
   void set_frame_tamper_hook(FrameTamperHook hook) { frame_tamper_ = std::move(hook); }
 
-  /// Typed adapter over the byte path: the delivered frame is decoded, the
-  /// hook may modify the message or return false to suppress, and a
-  /// modified message is re-encoded into a fresh frame. Charged rx is based
-  /// on the original frame.
-  using TamperHook = std::function<bool(Message&, std::uint32_t receiver)>;
-  void set_tamper_hook(TamperHook hook) { tamper_ = std::move(hook); }
-
   /// Passive byte-level observer of every transmitted frame (eavesdropper
-  /// on the air interface).
+  /// on the air interface); Frame::sender() or wire::decode gives the
+  /// typed view.
   using FrameSniffer = std::function<void(const wire::Frame&)>;
   void set_frame_sniffer(FrameSniffer sniffer) { frame_sniffer_ = std::move(sniffer); }
-
-  /// Typed adapter: observes the decoded view of every transmitted frame
-  /// (debug builds assert the frame decodes back to exactly this message).
-  using Sniffer = std::function<void(const Message&)>;
-  void set_sniffer(Sniffer sniffer) { sniffer_ = std::move(sniffer); }
 
   // --- Timed-delivery hooks (src/sim) ---
 
@@ -139,10 +132,9 @@ class Network {
   /// time as usual. Holding the frame is an O(1) buffer reference.
   using Transport = std::function<void(const wire::Frame&, std::uint32_t receiver)>;
   void set_transport(Transport transport) { transport_ = std::move(transport); }
-  [[nodiscard]] bool has_transport() const { return static_cast<bool>(transport_); }
 
   /// Injects a copy that arrives "now" on the timed path: charges rx, runs
-  /// the tamper hooks and enqueues. No loss draw (the transport already
+  /// the tamper hook and enqueues. No loss draw (the transport already
   /// decided). A receiver that departed while the copy was in flight is
   /// recorded as a drop instead of throwing.
   void deposit(const wire::Frame& frame, std::uint32_t to);
@@ -194,9 +186,7 @@ class Network {
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;
   FrameTamperHook frame_tamper_;
-  TamperHook tamper_;
   FrameSniffer frame_sniffer_;
-  Sniffer sniffer_;
   Transport transport_;
   DropObserver drop_observer_;
   RoundBarrier round_barrier_;

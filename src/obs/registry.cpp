@@ -41,7 +41,7 @@ std::uint64_t Histogram::percentile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0;
   // Nearest-rank over the bucket counts (same rank rule as
-  // sim::percentile_us), then linear interpolation inside the bucket,
+  // sim::summarize_latency), then linear interpolation inside the bucket,
   // clamped to the tracked global min/max so the endpoints are exact.
   double rank = q / 100.0 * static_cast<double>(n);
   std::uint64_t target = static_cast<std::uint64_t>(std::ceil(rank));

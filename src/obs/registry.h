@@ -29,49 +29,21 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "obs/json_writer.h"
 
 namespace idgka::obs {
 
-/// Monotonic event counter.
-///
-/// Updates are striped per thread (the per-cpu-stats idiom): each thread
-/// lands on one cache-line-aligned slot, so hot-path add() from many
-/// concurrently resumed protocol runs and pool threads never bounces one
-/// contended line between cores.
-/// value() sums the stripes — reads are rare (snapshot time), writes are
-/// constant. Sum-of-relaxed-stripes is exact for quiescent reads (tests,
-/// snapshots at barriers) and momentarily stale while writers race, same
-/// contract as the single-atomic counter it replaces.
+/// Monotonic event counter: one relaxed atomic, like Gauge, Histogram and
+/// the mpint op counters.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) {
-    slots_[stripe()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Slot& s : slots_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void reset() {
-    for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr std::size_t kStripes = 8;  // power of two
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  static std::size_t stripe() {
-    static thread_local const std::size_t s =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) & (kStripes - 1);
-    return s;
-  }
-
-  Slot slots_[kStripes];
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Last-written / high-watermark value.

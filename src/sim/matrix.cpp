@@ -1,6 +1,5 @@
 #include "sim/matrix.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -172,13 +171,6 @@ MatrixReport MatrixRunner::run() {
           const obs::ScopedSnapshotDelta guard;
           cell.metrics = ScenarioRunner(std::move(scenario)).run();
           cell.delta = guard.delta();
-
-          std::vector<SimTime> sample = cell.metrics.op_latencies_us.all;
-          std::sort(sample.begin(), sample.end());
-          cell.latency_p50_us = percentile_sorted_us(sample, 50.0);
-          cell.latency_p90_us = percentile_sorted_us(sample, 90.0);
-          cell.latency_p99_us = percentile_sorted_us(sample, 99.0);
-          cell.latency_max_us = percentile_sorted_us(sample, 100.0);
           report.cells.push_back(std::move(cell));
         }
       }
@@ -203,12 +195,6 @@ std::string MatrixReport::to_json() const {
     w.kv("link_class", cell.link_class);
     w.kv("loss_model", cell.loss_model);
     w.kv("churn", cell.churn);
-    w.key("latency").begin_object();
-    w.kv("p50_us", cell.latency_p50_us);
-    w.kv("p90_us", cell.latency_p90_us);
-    w.kv("p99_us", cell.latency_p99_us);
-    w.kv("max_us", cell.latency_max_us);
-    w.end_object();
     w.key("metrics").raw(cell.metrics.to_json());
     w.key("delta");
     cell.delta.write(w);
@@ -228,9 +214,10 @@ std::string MatrixReport::to_markdown() const {
         "copies dropped | rekey retries | agree |\n";
   md += "|---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n";
   for (const MatrixCell& cell : cells) {
+    const LatencySummary latency = summarize_latency(cell.metrics.op_latencies_us.all);
     md += "| " + cell.id + " | " + format_ms(cell.metrics.form_latency_us) + " | " +
-          format_ms(cell.latency_p50_us) + " | " + format_ms(cell.latency_p90_us) + " | " +
-          format_ms(cell.latency_p99_us) + " | " +
+          format_ms(latency.p50_us) + " | " + format_ms(latency.p90_us) + " | " +
+          format_ms(latency.p99_us) + " | " +
           std::to_string(cell.metrics.rekeys_completed) + "/" +
           std::to_string(cell.metrics.rekeys_attempted) + " | " +
           format_pct(cell.metrics.convergence()) + " | " +
@@ -303,9 +290,10 @@ CompareResult compare(const obs::json::JsonValue& baseline, const obs::json::Jso
     const obs::json::JsonValue& cur_cell = *it->second;
 
     for (const char* q : {"p50_us", "p90_us", "p99_us"}) {
-      check_growth(id, q, base_cell.at("latency").at(q).as_double(),
-                   cur_cell.at("latency").at(q).as_double(), thresholds.latency_pct,
-                   static_cast<double>(thresholds.latency_slack_us), result.regressions);
+      check_growth(id, q, base_cell.at("metrics").at("latency").at(q).as_double(),
+                   cur_cell.at("metrics").at("latency").at(q).as_double(),
+                   thresholds.latency_pct, static_cast<double>(thresholds.latency_slack_us),
+                   result.regressions);
     }
     check_growth(id, "copies_dropped",
                  base_cell.at("metrics").at("air").at("copies_dropped").as_double(),

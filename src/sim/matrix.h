@@ -8,8 +8,8 @@
 // round out), a loss model (clean / independent uniform / Gilbert-Elliott
 // bursty at the same average), and a churn level (a deterministically
 // generated join/leave/partition/merge trace). The runner captures, per
-// cell, the scenario metrics, the latency percentiles over every completed
-// operation, and the obs::Registry snapshot *delta* scoped to the cell —
+// cell, the scenario metrics (their `latency` block spans every completed
+// operation) and the obs::Registry snapshot *delta* scoped to the cell —
 // so per-link drop counters and per-group rekey retries land in the cell
 // that caused them even though the registry is process-global.
 //
@@ -92,8 +92,8 @@ struct MatrixConfig {
   std::vector<ChurnLevel> churn_levels = {{"calm", 2}, {"churny", 8}};
 };
 
-/// One cell's results: scenario metrics + scoped registry delta + latency
-/// percentiles over every completed operation (form included).
+/// One cell's results: scenario metrics (whose `latency` block covers every
+/// completed operation, form included) + scoped registry delta.
 struct MatrixCell {
   std::string id;  ///< "topology/link/loss/churn"
   std::string topology;
@@ -103,11 +103,6 @@ struct MatrixCell {
 
   Metrics metrics;
   obs::Snapshot delta;  ///< registry increments attributable to this cell
-
-  SimTime latency_p50_us = 0;
-  SimTime latency_p90_us = 0;
-  SimTime latency_p99_us = 0;
-  SimTime latency_max_us = 0;
 };
 
 struct MatrixReport {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/json_writer.h"
 
@@ -9,29 +10,9 @@ namespace idgka::sim {
 
 namespace {
 
-/// Sorted copy of a latency sample: one sort per block; every percentile
-/// of the block reuses it (the by-value-per-call sort this replaced showed
-/// up in bench profiles at large n).
-std::vector<SimTime> sorted_copy(const std::vector<SimTime>& sample) {
-  std::vector<SimTime> s = sample;
-  std::sort(s.begin(), s.end());
-  return s;
-}
-
-/// `{"count":N,"p50_us":...,"p99_us":...}` over one latency sample.
-void append_percentile_block(obs::JsonWriter& w, const std::vector<SimTime>& sample) {
-  const std::vector<SimTime> s = sorted_copy(sample);
-  w.begin_object();
-  w.kv("count", s.size());
-  w.kv("p50_us", percentile_sorted_us(s, 50.0));
-  w.kv("p99_us", percentile_sorted_us(s, 99.0));
-  w.end_object();
-}
-
-}  // namespace
-
-SimTime percentile_sorted_us(const std::vector<SimTime>& sorted_sample, double q) {
-  if (sorted_sample.empty()) return 0;
+/// Nearest-rank percentile (q in [0, 100]) of an ascending, non-empty
+/// sample.
+SimTime nearest_rank(const std::vector<SimTime>& sorted_sample, double q) {
   const double rank = q / 100.0 * static_cast<double>(sorted_sample.size());
   std::size_t idx = static_cast<std::size_t>(std::ceil(rank));
   if (idx > 0) --idx;
@@ -39,8 +20,24 @@ SimTime percentile_sorted_us(const std::vector<SimTime>& sorted_sample, double q
   return sorted_sample[idx];
 }
 
-SimTime percentile_us(const std::vector<SimTime>& sample, double q) {
-  return percentile_sorted_us(sorted_copy(sample), q);
+/// The one latency-block writer: the summary's fields, into the object the
+/// caller has open.
+void write_latency_fields(obs::JsonWriter& w, const std::vector<SimTime>& sample) {
+  const LatencySummary s = summarize_latency(sample);
+  w.kv("count", s.count);
+  w.kv("p50_us", s.p50_us);
+  w.kv("p90_us", s.p90_us);
+  w.kv("p99_us", s.p99_us);
+  w.kv("max_us", s.max_us);
+}
+
+}  // namespace
+
+LatencySummary summarize_latency(std::vector<SimTime> sample) {
+  if (sample.empty()) return {};
+  std::sort(sample.begin(), sample.end());
+  return LatencySummary{sample.size(), nearest_rank(sample, 50.0), nearest_rank(sample, 90.0),
+                        nearest_rank(sample, 99.0), sample.back()};
 }
 
 std::string Metrics::to_json() const {
@@ -67,35 +64,20 @@ std::string Metrics::to_json() const {
   w.kv("partition", events_partition);
   w.kv("merge", events_merge);
   w.end_object();
-  {
-    const std::vector<SimTime> rekeys = sorted_copy(rekey_latencies_us);
-    w.key("latency_us").begin_object();
-    w.kv("count", rekeys.size());
-    w.kv("p50", percentile_sorted_us(rekeys, 50.0));
-    w.kv("p90", percentile_sorted_us(rekeys, 90.0));
-    w.kv("p99", percentile_sorted_us(rekeys, 99.0));
-    w.kv("max", percentile_sorted_us(rekeys, 100.0));
-    w.end_object();
-  }
-  // Per-operation latency percentiles: `all` spans every completed
+  // Per-operation latency: the block's own fields span every completed
   // operation including form (whose start/end stamps stay in the `form`
-  // block above); the kind keys split the rekeys by membership event.
-  {
-    const std::vector<SimTime> all = sorted_copy(op_latencies_us.all);
-    w.key("latency").begin_object();
-    w.kv("count", all.size());
-    w.kv("p50_us", percentile_sorted_us(all, 50.0));
-    w.kv("p99_us", percentile_sorted_us(all, 99.0));
-    w.key("join");
-    append_percentile_block(w, op_latencies_us.join);
-    w.key("leave");
-    append_percentile_block(w, op_latencies_us.leave);
-    w.key("partition");
-    append_percentile_block(w, op_latencies_us.partition);
-    w.key("merge");
-    append_percentile_block(w, op_latencies_us.merge);
+  // block above); the kind blocks split the rekeys by membership event.
+  w.key("latency").begin_object();
+  write_latency_fields(w, op_latencies_us.all);
+  for (const auto& [kind, sample] :
+       {std::pair{"join", &op_latencies_us.join}, std::pair{"leave", &op_latencies_us.leave},
+        std::pair{"partition", &op_latencies_us.partition},
+        std::pair{"merge", &op_latencies_us.merge}}) {
+    w.key(kind).begin_object();
+    write_latency_fields(w, *sample);
     w.end_object();
   }
+  w.end_object();
   w.key("air").begin_object();
   w.kv("frames", frames_on_air);
   w.kv("bits", bits_on_air);
@@ -181,17 +163,9 @@ std::string MultiGroupMetrics::to_json() const {
   w.kv("completed", rekeys_completed());
   w.kv("convergence", convergence());
   w.end_object();
-  {
-    std::vector<SimTime> all = all_op_latencies_us();
-    std::sort(all.begin(), all.end());
-    w.key("latency").begin_object();
-    w.kv("count", all.size());
-    w.kv("p50_us", percentile_sorted_us(all, 50.0));
-    w.kv("p90_us", percentile_sorted_us(all, 90.0));
-    w.kv("p99_us", percentile_sorted_us(all, 99.0));
-    w.kv("max_us", percentile_sorted_us(all, 100.0));
-    w.end_object();
-  }
+  w.key("latency").begin_object();
+  write_latency_fields(w, all_op_latencies_us());
+  w.end_object();
   w.key("air").begin_object();
   w.kv("frames", frames);
   w.kv("bits", bits);

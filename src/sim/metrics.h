@@ -15,14 +15,18 @@
 
 namespace idgka::sim {
 
-/// Nearest-rank percentile (q in [0, 100]) of an unsorted sample; 0 when
-/// empty. Sorts a copy internally — when taking several percentiles of one
-/// sample, sort once and use percentile_sorted_us instead.
-[[nodiscard]] SimTime percentile_us(const std::vector<SimTime>& sample, double q);
-
-/// Same, over an already-sorted (ascending) sample — no copy, no sort.
-[[nodiscard]] SimTime percentile_sorted_us(const std::vector<SimTime>& sorted_sample,
-                                           double q);
+/// Nearest-rank summary of one latency sample (all zero when empty). Every
+/// latency block of the metrics JSON has exactly these fields —
+/// `{"count","p50_us","p90_us","p99_us","max_us"}` — and the benches print
+/// from the same summary.
+struct LatencySummary {
+  std::size_t count = 0;
+  SimTime p50_us = 0;
+  SimTime p90_us = 0;
+  SimTime p99_us = 0;
+  SimTime max_us = 0;
+};
+[[nodiscard]] LatencySummary summarize_latency(std::vector<SimTime> sample);
 
 struct Metrics {
   std::string scenario;
@@ -44,11 +48,10 @@ struct Metrics {
   std::size_t events_leave = 0;
   std::size_t events_partition = 0;
   std::size_t events_merge = 0;
-  /// Latency of each completed rekey, in event order.
-  std::vector<SimTime> rekey_latencies_us;
   /// Per-operation latency samples feeding the JSON `latency` block:
   /// `all` covers every completed operation including form; the per-kind
-  /// vectors split the rekeys by membership-event kind.
+  /// vectors split the completed rekeys by membership-event kind, in event
+  /// order.
   struct OpLatencies {
     std::vector<SimTime> all;
     std::vector<SimTime> join;

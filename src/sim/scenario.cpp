@@ -37,7 +37,6 @@ void record_rekey(Metrics& metrics, const ProtocolDriver& driver, const OpOutcom
   ++metrics.rekeys_attempted;
   if (outcome.success && driver.agreed()) {
     ++metrics.rekeys_completed;
-    metrics.rekey_latencies_us.push_back(outcome.latency_us());
     metrics.op_latencies_us.all.push_back(outcome.latency_us());
     kind_sample.push_back(outcome.latency_us());
   }

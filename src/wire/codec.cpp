@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/trace.h"
-#include "wire/frame_pool.h"
 
 namespace idgka::wire {
 
@@ -266,11 +265,7 @@ Frame encode(const net::Message& msg) {
     total += 1 + varint_size(name.size()) + name.size() + 4;
   }
 
-  // Pooled buffer: on the deposit path frames are born and dropped at a
-  // rate that makes this the hottest allocation in a big run — recycling
-  // through the frame pool makes steady-state encode malloc-free.
-  const std::shared_ptr<std::vector<std::uint8_t>> out_buf = acquire_buffer(total);
-  std::vector<std::uint8_t>& out = *out_buf;
+  std::vector<std::uint8_t> out(total);
   std::uint8_t* p = out.data();
   *p++ = kMagic;
   *p++ = kVersion;
@@ -317,7 +312,7 @@ Frame encode(const net::Message& msg) {
   OBS_COUNT("wire.encoded_bytes", out.size());
   OBS_RECORD("wire.frame_bytes", out.size());
   OBS_INSTANT_ARG("wire.encode", "wire", out.size());
-  return Frame(out_buf, msg.accounted_bits(), msg.sender);
+  return Frame(std::move(out), msg.accounted_bits(), msg.sender);
 }
 
 net::Message decode(std::span<const std::uint8_t> bytes) {

@@ -69,12 +69,6 @@ class Frame {
       : buf_(std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes))),
         accounted_bits_(accounted_bits),
         sender_(sender) {}
-  /// Adopts an already-shared buffer — the encoder's pooled-buffer path
-  /// (wire/frame_pool.h): the buffer returns to the pool, not the
-  /// allocator, when the last Frame copy drops.
-  Frame(std::shared_ptr<const std::vector<std::uint8_t>> bytes,
-        std::uint64_t accounted_bits, std::uint32_t sender)
-      : buf_(std::move(bytes)), accounted_bits_(accounted_bits), sender_(sender) {}
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
     return buf_ ? std::span<const std::uint8_t>(*buf_) : std::span<const std::uint8_t>();
@@ -91,15 +85,6 @@ class Frame {
   [[nodiscard]] std::uint32_t sender() const { return sender_; }
   /// Number of Frame copies sharing this buffer (fan-out introspection).
   [[nodiscard]] long use_count() const { return buf_ ? buf_.use_count() : 0; }
-
-  /// Same shared buffer, different pinned metadata — used when a rewritten
-  /// copy must keep the original frame's accounting.
-  [[nodiscard]] Frame with_metadata(std::uint64_t accounted_bits, std::uint32_t sender) const {
-    Frame f = *this;
-    f.accounted_bits_ = accounted_bits;
-    f.sender_ = sender;
-    return f;
-  }
 
  private:
   std::shared_ptr<const std::vector<std::uint8_t>> buf_;

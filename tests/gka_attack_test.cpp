@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "gka/session.h"
+#include "message_tamper.h"
 #include "sig/gq.h"
 #include "wire/codec.h"
 
@@ -39,8 +40,8 @@ std::vector<std::uint32_t> make_ids(std::size_t n, std::uint32_t base = 2000) {
 TEST(Tampering, CorruptedRound2ShareFailsBatchVerification) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(5), 1);
   const std::uint32_t victim = session.member_ids()[2];
-  session.mutable_network().set_tamper_hook(
-      [&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(
+      session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "proposed-r2" && msg.sender == victim) {
           // Flip the GQ response s_i: Eq. (2) must reject the whole batch.
           auto s = msg.payload.get_int("s");
@@ -62,8 +63,8 @@ TEST(Tampering, CorruptedXValueFailsLemma1ForHonestBd) {
   // *unsigned* field pair coherently (both x and s would need the secret).
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 2100), 2);
   const std::uint32_t victim = session.member_ids()[1];
-  session.mutable_network().set_tamper_hook(
-      [&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(
+      session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "proposed-r2" && msg.sender == victim) {
           net::Payload fresh;
           fresh.put_u32("id", msg.payload.get_u32("id"));
@@ -79,8 +80,8 @@ TEST(Tampering, CorruptedXValueFailsLemma1ForHonestBd) {
 TEST(Tampering, ForgedEcdsaSignatureRejected) {
   GroupSession session(test_authority(), Scheme::kBdEcdsa, make_ids(4, 2200), 3);
   const std::uint32_t victim = session.member_ids()[0];
-  session.mutable_network().set_tamper_hook(
-      [&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(
+      session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "bd-r2" && msg.sender == victim) {
           net::Payload fresh;
           fresh.put_u32("id", msg.payload.get_u32("id"));
@@ -97,8 +98,8 @@ TEST(Tampering, ForgedEcdsaSignatureRejected) {
 TEST(Tampering, SsnAuthenticatorForgeryRejected) {
   GroupSession session(test_authority(), Scheme::kSsn, make_ids(4, 2300), 4);
   const std::uint32_t victim = session.member_ids()[3];
-  session.mutable_network().set_tamper_hook(
-      [&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(
+      session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "ssn-r2" && msg.sender == victim) {
           net::Payload fresh;
           fresh.put_u32("id", msg.payload.get_u32("id"));
@@ -115,8 +116,8 @@ TEST(Tampering, SsnAuthenticatorForgeryRejected) {
 TEST(Tampering, JoinSignatureForgeryRejected) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 2400), 5);
   ASSERT_TRUE(session.form().success);
-  session.mutable_network().set_tamper_hook(
-      [&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(
+      session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "join-r1") {
           net::Payload fresh;
           fresh.put_u32("id", msg.payload.get_u32("id"));
@@ -153,7 +154,7 @@ TEST(Tampering, CorruptedLeaveShareFailsAndLeavesStateUnchanged) {
     before[m.cred.id] = Snapshot{m.ring, m.key, m.z_map, m.t_map};
   }
 
-  session.mutable_network().set_tamper_hook([&](net::Message& msg, std::uint32_t to) {
+  test::set_message_tamper(session.mutable_network(), [&](net::Message& msg, std::uint32_t to) {
     if (msg.type == "leave-r2" && msg.sender == victim && to == receiver) {
       net::Payload fresh;
       fresh.put_u32("id", msg.payload.get_u32("id"));
@@ -176,7 +177,7 @@ TEST(Tampering, CorruptedLeaveShareFailsAndLeavesStateUnchanged) {
 
   // The untouched state is consistent: the same departure succeeds once
   // the medium is honest again.
-  session.mutable_network().set_tamper_hook(nullptr);
+  session.mutable_network().set_frame_tamper_hook(nullptr);
   ASSERT_TRUE(session.leave(leaver).success);
   for (const MemberCtx& m : session.members()) EXPECT_EQ(m.key, session.key());
 }
@@ -286,7 +287,8 @@ TEST(TauReuseAttack, RefreshAllCountermeasureBlocksIt) {
   // With the countermeasure, every survivor's t changes each event, so the
   // same tau never answers two distinct challenges.
   std::map<std::uint32_t, std::vector<BigInt>> t_seen;
-  session.mutable_network().set_sniffer([&](const net::Message& msg) {
+  session.mutable_network().set_frame_sniffer([&](const wire::Frame& frame) {
+    const net::Message msg = wire::decode(frame);
     if (msg.type == "proposed-r1" || msg.type == "leave-r1") {
       t_seen[msg.sender].push_back(msg.payload.get_int("t"));
     }
@@ -310,8 +312,8 @@ TEST(TauReuseAttack, DefaultPaperBehaviourReusesCommitments) {
   Authority& authority = test_authority();
   GroupSession session(authority, Scheme::kProposed, make_ids(6, 2700), 8);
   std::map<std::uint32_t, int> r1_broadcasts;
-  session.mutable_network().set_sniffer([&](const net::Message& msg) {
-    if (msg.type == "leave-r1") ++r1_broadcasts[msg.sender];
+  session.mutable_network().set_frame_sniffer([&](const wire::Frame& frame) {
+    if (wire::peek(frame.bytes()).type == "leave-r1") ++r1_broadcasts[frame.sender()];
   });
   ASSERT_TRUE(session.form().success);
   const auto ring = session.member_ids();

@@ -73,7 +73,7 @@ TEST(ExchangeRound, LossyRoundAwaitsOncePerAttempt) {
   net::Network net(/*loss_rate=*/0.4, /*seed=*/7);
   const auto ids = nodes(net, 5);
   std::size_t transmitted = 0;
-  net.set_sniffer([&](const net::Message&) { ++transmitted; });
+  net.set_frame_sniffer([&](const wire::Frame&) { ++transmitted; });
   // Transmissions on the air at each await: every attempt transmits at
   // least one frame, then waits exactly once.
   std::vector<std::size_t> tx_at_await;
@@ -155,7 +155,7 @@ TEST(ExchangeRound, SenderOrderPreserved) {
   net::Network net;
   const auto ids = nodes(net, 3);
   std::vector<std::uint32_t> tx_order;
-  net.set_sniffer([&](const net::Message& m) { tx_order.push_back(m.sender); });
+  net.set_frame_sniffer([&](const wire::Frame& f) { tx_order.push_back(f.sender()); });
   std::vector<RoundSend> sends;
   sends.push_back(RoundSend{msg_from(2), ids});
   sends.push_back(RoundSend{msg_from(3), ids});

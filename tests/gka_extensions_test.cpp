@@ -8,6 +8,7 @@
 #include "gka/complexity.h"
 #include "gka/proposed.h"
 #include "gka/session.h"
+#include "message_tamper.h"
 #include "net/parallel.h"
 
 namespace idgka::gka {
@@ -38,7 +39,7 @@ TEST(KeyConfirmation, AddsOneRoundAndStillAgrees) {
 TEST(KeyConfirmation, TamperedTagAbortsTheRun) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 4100), 2);
   session.set_key_confirmation(true);
-  session.mutable_network().set_tamper_hook([&](net::Message& msg, std::uint32_t) {
+  test::set_message_tamper(session.mutable_network(), [&](net::Message& msg, std::uint32_t) {
     if (msg.type == "proposed-kc" && msg.sender == 4102) {
       auto tag = msg.payload.get_blob("tag");
       tag[0] ^= 0xFF;

@@ -67,6 +67,26 @@ TEST(JsonWriter, TakeResetsTheWriter) {
   EXPECT_EQ(w.take(), "[2]");
 }
 
+// ---------------------------------------------------------------- Counter
+
+TEST(Counter, ConcurrentAddsSumExactly) {
+  // Relaxed adds from many threads at once must lose nothing: the total
+  // is exact once the writers have joined.
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kAdds = 20'000;
+  Counter c;
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) c.add(1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(c.value(), kThreads * kAdds);
+  c.reset();
+  EXPECT_EQ(c.value(), 0U);
+}
+
 // -------------------------------------------------------------- Histogram
 
 TEST(Histogram, BucketBoundaries) {

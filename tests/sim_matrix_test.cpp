@@ -50,10 +50,11 @@ TEST(Matrix, SweepCoversEveryCellAndConverges) {
     // still form a group and agree on the key.
     EXPECT_TRUE(cell.metrics.form_success) << cell.id;
     EXPECT_TRUE(cell.metrics.all_members_agree) << cell.id;
-    EXPECT_GT(cell.latency_p50_us, 0U) << cell.id;
-    EXPECT_LE(cell.latency_p50_us, cell.latency_p90_us) << cell.id;
-    EXPECT_LE(cell.latency_p90_us, cell.latency_p99_us) << cell.id;
-    EXPECT_LE(cell.latency_p99_us, cell.latency_max_us) << cell.id;
+    const JsonValue latency = obs::json::parse(cell.metrics.to_json()).at("latency");
+    EXPECT_GT(latency.at("p50_us").as_uint(), 0U) << cell.id;
+    EXPECT_LE(latency.at("p50_us").as_uint(), latency.at("p90_us").as_uint()) << cell.id;
+    EXPECT_LE(latency.at("p90_us").as_uint(), latency.at("p99_us").as_uint()) << cell.id;
+    EXPECT_LE(latency.at("p99_us").as_uint(), latency.at("max_us").as_uint()) << cell.id;
   }
   EXPECT_EQ(ids.size(), report.cells.size());  // ids are unique
   // Propagation delay dominates op latency: the same sweep under GEO must
@@ -61,7 +62,7 @@ TEST(Matrix, SweepCoversEveryCellAndConverges) {
   // to surface).
   const auto p50 = [&](const std::string& id) {
     for (const sim::MatrixCell& cell : report.cells) {
-      if (cell.id == id) return cell.latency_p50_us;
+      if (cell.id == id) return sim::summarize_latency(cell.metrics.op_latencies_us.all).p50_us;
     }
     ADD_FAILURE() << "no cell " << id;
     return sim::SimTime{0};
@@ -108,7 +109,8 @@ TEST(Matrix, SameSeedReportIsByteIdentical) {
   EXPECT_EQ(doc.at("seed").as_uint(), 77U);
   ASSERT_EQ(doc.at("cells").as_array().size(), 12U);
   const JsonValue& cell = doc.at("cells").as_array().front();
-  EXPECT_TRUE(cell.at("latency").at("p50_us").is_number());
+  EXPECT_FALSE(cell.has("latency"));
+  EXPECT_TRUE(cell.at("metrics").at("latency").at("p50_us").is_number());
   EXPECT_TRUE(cell.at("metrics").at("rekeys").at("convergence").is_number());
   EXPECT_TRUE(cell.at("delta").is_object());
 }
@@ -166,9 +168,9 @@ std::string cell_doc(const std::string& id, std::uint64_t p50, std::uint64_t p90
                           ? std::string(R"({"counters":{}})")
                           : R"({"counters":{"cluster.rekey_retries":)" + std::to_string(retries) +
                                 "}}";
-  return R"({"id":")" + id + R"(","latency":{"p50_us":)" + std::to_string(p50) +
+  return R"({"id":")" + id + R"(","metrics":{"latency":{"p50_us":)" + std::to_string(p50) +
          R"(,"p90_us":)" + std::to_string(p90) + R"(,"p99_us":)" + std::to_string(p99) +
-         R"(,"max_us":)" + std::to_string(p99) + R"(},"metrics":{"air":{"copies_dropped":)" +
+         R"(,"max_us":)" + std::to_string(p99) + R"(},"air":{"copies_dropped":)" +
          std::to_string(dropped) + R"(},"rekeys":{"convergence":)" + std::to_string(convergence) +
          R"(}},"delta":)" + delta + "}";
 }

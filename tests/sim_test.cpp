@@ -3,6 +3,9 @@
 // sessions, and scenario determinism (same seed => bit-identical JSON).
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "obs/json_reader.h"
 #include "sim/battery.h"
 #include "sim/driver.h"
 #include "sim/link.h"
@@ -178,33 +181,62 @@ TEST(Battery, LedgerResetsAreBanked) {
 // ---------------------------------------------------------------- Metrics
 
 TEST(Metrics, NearestRankPercentiles) {
-  const std::vector<SimTime> sample{40, 10, 30, 20};
-  EXPECT_EQ(percentile_us(sample, 50.0), 20U);
-  EXPECT_EQ(percentile_us(sample, 90.0), 40U);
-  EXPECT_EQ(percentile_us(sample, 100.0), 40U);
-  EXPECT_EQ(percentile_us({}, 50.0), 0U);
+  const LatencySummary s = summarize_latency({40, 10, 30, 20});
+  EXPECT_EQ(s.count, 4U);
+  EXPECT_EQ(s.p50_us, 20U);
+  EXPECT_EQ(s.p90_us, 40U);
+  EXPECT_EQ(s.p99_us, 40U);
+  EXPECT_EQ(s.max_us, 40U);
+  const LatencySummary empty = summarize_latency({});
+  EXPECT_EQ(empty.count, 0U);
+  EXPECT_EQ(empty.p50_us, 0U);
+  EXPECT_EQ(empty.max_us, 0U);
 }
 
 TEST(Metrics, JsonCarriesPerOperationLatencyPercentiles) {
   Metrics metrics;
-  metrics.op_latencies_us.all = {400, 100, 300, 200};
+  metrics.form_success = true;
+  metrics.op_latencies_us.all = {400, 100, 300, 200};  // form + three rekeys
   metrics.op_latencies_us.join = {100, 300};
   metrics.op_latencies_us.leave = {200};
-  const std::string json = metrics.to_json();
-  // Overall percentiles live directly under `latency`, alongside the
-  // existing start/end-derived blocks (form latency, latency_us).
-  EXPECT_NE(json.find("\"latency\":{\"count\":4,\"p50_us\":200,\"p99_us\":400"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"join\":{\"count\":2,\"p50_us\":100,\"p99_us\":300}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"leave\":{\"count\":1,\"p50_us\":200,\"p99_us\":200}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"partition\":{\"count\":0,\"p50_us\":0,\"p99_us\":0}"),
-            std::string::npos)
-      << json;
+  const obs::json::JsonValue doc = obs::json::parse(metrics.to_json());
+  // One block shape everywhere: `latency` carries it for every operation
+  // (form included), each kind block carries it for that kind's rekeys.
+  const std::set<std::string> fields{"count", "p50_us", "p90_us", "p99_us", "max_us"};
+  const auto fields_of = [](const obs::json::JsonValue& block) {
+    std::set<std::string> keys;
+    for (const auto& [key, value] : block.as_object()) {
+      if (value.is_number()) keys.insert(key);
+    }
+    return keys;
+  };
+  const std::vector<std::string> kinds{"join", "leave", "partition", "merge"};
+  ASSERT_TRUE(doc.has("latency"));
+  const obs::json::JsonValue& latency = doc.at("latency");
+  EXPECT_EQ(fields_of(latency), fields);
+  EXPECT_EQ(latency.as_object().size(), fields.size() + kinds.size());
+  for (const std::string& kind : kinds) {
+    EXPECT_EQ(fields_of(latency.at(kind)), fields) << kind;
+    EXPECT_EQ(latency.at(kind).as_object().size(), fields.size()) << kind;
+  }
+  EXPECT_FALSE(doc.has("latency_us"));
+
+  EXPECT_EQ(latency.at("count").as_uint(), 4U);
+  EXPECT_EQ(latency.at("p50_us").as_uint(), 200U);
+  EXPECT_EQ(latency.at("p90_us").as_uint(), 400U);
+  EXPECT_EQ(latency.at("p99_us").as_uint(), 400U);
+  EXPECT_EQ(latency.at("max_us").as_uint(), 400U);
+  EXPECT_EQ(latency.at("join").at("count").as_uint(), 2U);
+  EXPECT_EQ(latency.at("join").at("p50_us").as_uint(), 100U);
+  EXPECT_EQ(latency.at("join").at("max_us").as_uint(), 300U);
+  EXPECT_EQ(latency.at("leave").at("p99_us").as_uint(), 200U);
+  EXPECT_EQ(latency.at("partition").at("count").as_uint(), 0U);
+  EXPECT_EQ(latency.at("partition").at("p50_us").as_uint(), 0U);
+
+  // `all` is exactly the successful form plus every kind's rekeys.
+  std::uint64_t kind_total = 0;
+  for (const std::string& kind : kinds) kind_total += latency.at(kind).at("count").as_uint();
+  EXPECT_EQ(latency.at("count").as_uint(), 1U + kind_total);
 }
 
 // ----------------------------------------------------- Timed flat sessions
@@ -338,8 +370,16 @@ TEST(Scenario, SameSeedSameTraceBitIdenticalJson) {
   EXPECT_EQ(first.op_latencies_us.leave.size(), 1U);
   EXPECT_EQ(first.op_latencies_us.partition.size(), 1U);
   EXPECT_EQ(first.op_latencies_us.merge.size(), 1U);
-  EXPECT_GT(percentile_us(first.op_latencies_us.all, 50.0), 0U);
-  EXPECT_NE(first.to_json().find("\"latency\":{\"count\":6,"), std::string::npos);
+  EXPECT_GT(summarize_latency(first.op_latencies_us.all).p50_us, 0U);
+  const obs::json::JsonValue doc = obs::json::parse(first.to_json());
+  const obs::json::JsonValue& latency = doc.at("latency");
+  EXPECT_EQ(latency.at("count").as_uint(), 6U);
+  std::uint64_t kind_total = 0;
+  for (const char* kind : {"join", "leave", "partition", "merge"}) {
+    kind_total += latency.at(kind).at("count").as_uint();
+  }
+  EXPECT_EQ(latency.at("count").as_uint(), 1U + kind_total);  // form + rekeys
+  EXPECT_FALSE(doc.has("latency_us"));
 }
 
 TEST(Scenario, DifferentSeedDivergesEventually) {

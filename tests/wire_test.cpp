@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "wire/frame_pool.h"
 
 namespace idgka::wire {
 namespace {
@@ -149,30 +148,6 @@ TEST(WireFrame, CopiesShareOneBuffer) {
   const Frame empty;
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.use_count(), 0L);
-}
-
-TEST(WireFrame, EncodeRecyclesBuffersThroughThePool) {
-  const Message msg = rich_msg();
-  // Prime: at least one buffer must be parked once its frame drops.
-  const FramePoolStats before_prime = frame_pool_stats();
-  { const Frame f = encode(msg); }
-  const FramePoolStats primed = frame_pool_stats();
-  EXPECT_GT(primed.returns, before_prime.returns);
-
-  // Steady state on one thread: encode -> drop -> encode must hit the
-  // stripe's free list, not the allocator.
-  { const Frame f = encode(msg); }
-  const FramePoolStats after = frame_pool_stats();
-  EXPECT_GT(after.hits, primed.hits);
-  EXPECT_GT(after.returns, primed.returns);
-
-  // A held frame pins its buffer: the pool's bytes must stay intact and
-  // byte-identical however many pooled encodes happen in between.
-  const Frame held = encode(msg);
-  const std::vector<std::uint8_t> snapshot(held.bytes().begin(), held.bytes().end());
-  for (int i = 0; i < 32; ++i) { const Frame scratch = encode(msg); }
-  EXPECT_TRUE(std::equal(held.bytes().begin(), held.bytes().end(), snapshot.begin(),
-                         snapshot.end()));
 }
 
 TEST(WireCodec, AssertRoundtripCatchesAccountingDrift) {
