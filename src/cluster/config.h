@@ -19,22 +19,13 @@ struct ClusterConfig {
   /// Clusters below this size are merged into a neighbour (when more than
   /// one cluster exists).
   std::size_t min_cluster = 8;
-  /// Clusters above this size are split into two halves.
+  /// Clusters above this size are split into two halves; a head set above
+  /// it becomes a nested tier of its own (heads-of-heads).
   std::size_t max_cluster = 48;
   /// Enqueued events auto-flush into one rekey round at this queue depth.
   std::size_t batch_capacity = 32;
   /// Protocol run inside every leaf cluster and in the head tier.
   gka::Scheme scheme = gka::Scheme::kProposed;
-  /// Loss rate applied to every leaf (and head-tier) network.
-  double loss_rate = 0.0;
-  /// Maximum tree depth (tiers of sessions). When the head set outgrows
-  /// max_cluster and the budget allows, the head tier becomes a nested
-  /// HierarchicalSession of its own (heads-of-heads), recursively — depth-k
-  /// trees give fan-out^k membership with every ring still bounded by
-  /// max_cluster. 0 means unbounded; 2 pins the historical two-tier shape
-  /// (one flat head ring regardless of head count). 1 is invalid: any
-  /// multi-cluster session already has two tiers.
-  std::size_t max_depth = 0;
   /// Observability dimension for this session's registry counters: when
   /// non-empty, rekeys and rekey retries are additionally counted as
   /// `cluster.rekeys{label}` / `cluster.rekey_retries{label}`. The sim
@@ -51,9 +42,6 @@ struct ClusterConfig {
       throw std::invalid_argument("ClusterConfig: max_cluster must be >= 2 * min_cluster");
     }
     if (batch_capacity == 0) throw std::invalid_argument("ClusterConfig: batch_capacity == 0");
-    if (max_depth == 1) {
-      throw std::invalid_argument("ClusterConfig: max_depth must be 0 (unbounded) or >= 2");
-    }
   }
 };
 

@@ -55,7 +55,7 @@ HierarchicalSession::HierarchicalSession(gka::Authority& authority, ClusterConfi
     std::vector<std::uint32_t> shard(it, it + static_cast<std::ptrdiff_t>(take));
     it += static_cast<std::ptrdiff_t>(take);
     clusters_.push_back(std::make_unique<gka::GroupSession>(
-        authority_, config_.scheme, std::move(shard), next_seed(), config_.loss_rate));
+        authority_, config_.scheme, std::move(shard), next_seed()));
   }
 }
 
@@ -315,7 +315,7 @@ void HierarchicalSession::update_head_tier() {
     return;
   }
   const std::vector<std::uint32_t> desired = cluster_heads();
-  const bool nest = want_nested(desired.size());
+  const bool nest = desired.size() > config_.max_cluster;
   if ((nest && !head_hier_) || (!nest && !head_tier_)) {
     // First build, or the head set crossed max_cluster and the tier shape
     // changes (flat ring <-> nested hierarchy): renegotiate from scratch.
@@ -374,32 +374,25 @@ void HierarchicalSession::rebuild_head_tier() {
   }
   if (head_hier_) dissolve_nested();
   const std::vector<std::uint32_t> heads = cluster_heads();
-  if (want_nested(heads.size())) {
+  if (heads.size() > config_.max_cluster) {
+    // The nested tier carries no label: tier rekeys are plumbing, not
+    // group-level events.
+    ClusterConfig nested = config_;
+    nested.label.clear();
     head_hier_ =
-        std::make_unique<HierarchicalSession>(authority_, nested_config(), heads, next_seed());
+        std::make_unique<HierarchicalSession>(authority_, std::move(nested), heads, next_seed());
     if (network_hook_) head_hier_->set_network_hook(network_hook_);
     if (!head_hier_->form().success) {
       throw std::runtime_error("rebuild_head_tier: nested tier agreement failed");
     }
     return;
   }
-  head_tier_ = std::make_unique<gka::GroupSession>(authority_, config_.scheme, heads,
-                                                   next_seed(), config_.loss_rate);
+  head_tier_ =
+      std::make_unique<gka::GroupSession>(authority_, config_.scheme, heads, next_seed());
   if (network_hook_) head_tier_->set_network_hook(network_hook_);
   if (!head_tier_->form().success) {
     throw std::runtime_error("rebuild_head_tier: tier key agreement failed");
   }
-}
-
-bool HierarchicalSession::want_nested(std::size_t head_count) const {
-  return head_count > config_.max_cluster && (config_.max_depth == 0 || config_.max_depth > 2);
-}
-
-ClusterConfig HierarchicalSession::nested_config() const {
-  ClusterConfig cfg = config_;
-  cfg.label.clear();
-  if (cfg.max_depth != 0) --cfg.max_depth;
-  return cfg;
 }
 
 const BigInt& HierarchicalSession::tier_key() const {

@@ -6,10 +6,10 @@
 // [min_cluster, max_cluster]; each cluster runs the paper's protocol as an
 // independent leaf GroupSession on its own broadcast domain, and the
 // cluster heads (first ring member of each cluster) run a second-tier GKA
-// among themselves. When the head set itself outgrows max_cluster (and
-// config.max_depth allows), the head tier is a nested HierarchicalSession
-// — heads-of-heads, recursively — so a depth-k tree covers fan-out^k
-// members with every ring still bounded by max_cluster. The global group
+// among themselves. When the head set itself outgrows max_cluster, the
+// head tier is a nested HierarchicalSession — heads-of-heads, recursively
+// — so a depth-k tree covers fan-out^k members with every ring still
+// bounded by max_cluster. The global group
 // key is derived from the top tier's key with symc::derive_key and pushed
 // downward as one SealedBox broadcast per cluster, sealed under that
 // cluster's leaf key — intermediate tiers repeat the same sealed push for
@@ -136,12 +136,6 @@ class HierarchicalSession {
   void retire_member(std::uint32_t id, const energy::Ledger& ledger);
   void retire_ledgers(const gka::GroupSession& session);
   void rekey_and_distribute();
-  /// True when `head_count` heads need a nested tier (head ring would
-  /// overflow max_cluster and the depth budget allows another level).
-  [[nodiscard]] bool want_nested(std::size_t head_count) const;
-  /// Config for a nested head tier: one depth level fewer, no label (tier
-  /// rekeys are plumbing, not group-level events).
-  [[nodiscard]] ClusterConfig nested_config() const;
   /// Key the group key derives from: the top tier's agreed key.
   [[nodiscard]] const BigInt& tier_key() const;
   /// Folds the nested tier's complete energy history into the retired pots

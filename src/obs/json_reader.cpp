@@ -269,35 +269,21 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void flatten_into(const JsonValue& v, std::string& path, std::map<std::string, double>& out) {
-  switch (v.kind()) {
-    case JsonValue::Kind::kUint:
-    case JsonValue::Kind::kInt:
-    case JsonValue::Kind::kDouble:
-      out.emplace(path, v.as_double());
-      return;
-    case JsonValue::Kind::kArray: {
-      const JsonArray& arr = v.as_array();
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        const std::size_t mark = path.size();
-        if (!path.empty()) path.push_back('.');
-        path += std::to_string(i);
-        flatten_into(arr[i], path, out);
-        path.resize(mark);
-      }
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      for (const auto& [key, child] : v.as_object()) {
-        const std::size_t mark = path.size();
-        if (!path.empty()) path.push_back('.');
-        path += key;
-        flatten_into(child, path, out);
-        path.resize(mark);
-      }
-      return;
-    }
-    default: return;  // null/bool/string carry no numeric leaf
+void flatten_into(const JsonValue& v, std::string& path, std::map<std::string, JsonValue>& out) {
+  const auto descend = [&](const std::string& segment, const JsonValue& child) {
+    const std::size_t mark = path.size();
+    if (!path.empty()) path.push_back('.');
+    path += segment;
+    flatten_into(child, path, out);
+    path.resize(mark);
+  };
+  if (v.is_array()) {
+    const JsonArray& arr = v.as_array();
+    for (std::size_t i = 0; i < arr.size(); ++i) descend(std::to_string(i), arr[i]);
+  } else if (v.is_object()) {
+    for (const auto& [key, child] : v.as_object()) descend(key, child);
+  } else {
+    out.emplace(path, v);
   }
 }
 
@@ -305,8 +291,8 @@ void flatten_into(const JsonValue& v, std::string& path, std::map<std::string, d
 
 JsonValue parse(std::string_view text) { return Parser(text).parse_document(); }
 
-std::map<std::string, double> flatten_numbers(const JsonValue& root) {
-  std::map<std::string, double> out;
+std::map<std::string, JsonValue> flatten(const JsonValue& root) {
+  std::map<std::string, JsonValue> out;
   std::string path;
   flatten_into(root, path, out);
   return out;

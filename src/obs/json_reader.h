@@ -5,8 +5,7 @@
 // only has to cover that dialect of JSON faithfully: objects, arrays,
 // strings with the writer's escapes, integers, fixed-format doubles,
 // booleans and null. It parses into a small immutable DOM (JsonValue) used
-// by the trace-analytics layer, the matrix baseline comparison and the
-// bench regression tool.
+// by the trace-analytics layer and the bench regression tool.
 //
 // The parser is strict where it matters for tooling honesty — trailing
 // garbage, unterminated containers and malformed escapes all throw
@@ -98,8 +97,9 @@ class JsonValue {
 /// else throws JsonParseError).
 [[nodiscard]] JsonValue parse(std::string_view text);
 
-/// Flattens every numeric leaf into "a.b.0.c" -> value (array indices are
-/// path segments). The regression tools diff two flattened maps.
-[[nodiscard]] std::map<std::string, double> flatten_numbers(const JsonValue& root);
+/// Flattens every leaf (number, bool, string or null) into "a.b.0.c" ->
+/// value (array indices are path segments). bench_compare diffs two
+/// flattened maps.
+[[nodiscard]] std::map<std::string, JsonValue> flatten(const JsonValue& root);
 
 }  // namespace idgka::obs::json

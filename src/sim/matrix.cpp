@@ -242,114 +242,4 @@ std::string MatrixReport::to_markdown() const {
   return md;
 }
 
-// ---------------------------------------------------------------- compare
-
-namespace {
-
-const obs::json::JsonValue& require_report(const obs::json::JsonValue& doc,
-                                           const char* which) {
-  if (!doc.is_object() || !doc.has("cells") || !doc.has("matrix")) {
-    throw std::invalid_argument(std::string("matrix compare: ") + which +
-                                " is not a matrix report");
-  }
-  return doc;
-}
-
-/// Growth check with both a relative and an absolute allowance: values may
-/// grow by `slack` unconditionally, and beyond that by `pct` percent of
-/// the baseline.
-void check_growth(const std::string& cell, const char* field, double base, double cur,
-                  double pct, double slack, std::vector<Regression>& out) {
-  if (cur <= base + slack) return;
-  if (base > 0.0 && (cur - base) / base * 100.0 <= pct) return;
-  out.push_back({cell, field, base, cur});
-}
-
-}  // namespace
-
-CompareResult compare(const obs::json::JsonValue& baseline, const obs::json::JsonValue& current,
-                      const CompareThresholds& thresholds) {
-  require_report(baseline, "baseline");
-  require_report(current, "current");
-
-  std::map<std::string, const obs::json::JsonValue*> current_cells;
-  for (const obs::json::JsonValue& cell : current.at("cells").as_array()) {
-    current_cells.emplace(cell.at("id").as_string(), &cell);
-  }
-
-  CompareResult result;
-  std::map<std::string, bool> seen;
-  for (const obs::json::JsonValue& base_cell : baseline.at("cells").as_array()) {
-    const std::string& id = base_cell.at("id").as_string();
-    const auto it = current_cells.find(id);
-    if (it == current_cells.end()) {
-      result.missing_cells.push_back(id);
-      continue;
-    }
-    seen[id] = true;
-    const obs::json::JsonValue& cur_cell = *it->second;
-
-    for (const char* q : {"p50_us", "p90_us", "p99_us"}) {
-      check_growth(id, q, base_cell.at("metrics").at("latency").at(q).as_double(),
-                   cur_cell.at("metrics").at("latency").at(q).as_double(),
-                   thresholds.latency_pct, static_cast<double>(thresholds.latency_slack_us),
-                   result.regressions);
-    }
-    check_growth(id, "copies_dropped",
-                 base_cell.at("metrics").at("air").at("copies_dropped").as_double(),
-                 cur_cell.at("metrics").at("air").at("copies_dropped").as_double(),
-                 thresholds.counter_pct, thresholds.counter_slack, result.regressions);
-    const auto retries = [](const obs::json::JsonValue& cell) {
-      const obs::json::JsonValue& v = cell.at("delta").at("counters")["cluster.rekey_retries"];
-      return v.is_null() ? 0.0 : v.as_double();
-    };
-    check_growth(id, "cluster.rekey_retries", retries(base_cell), retries(cur_cell),
-                 thresholds.counter_pct, thresholds.counter_slack, result.regressions);
-
-    const double base_conv = base_cell.at("metrics").at("rekeys").at("convergence").as_double();
-    const double cur_conv = cur_cell.at("metrics").at("rekeys").at("convergence").as_double();
-    if (cur_conv < base_conv - thresholds.convergence_drop_pct / 100.0 - 1e-9) {
-      result.regressions.push_back({id, "convergence", base_conv, cur_conv});
-    }
-  }
-  for (const auto& [id, cell] : current_cells) {
-    if (!seen.contains(id)) result.new_cells.push_back(id);
-  }
-  return result;
-}
-
-std::string CompareResult::to_markdown() const {
-  std::string md;
-  md += "# Matrix baseline comparison\n\n";
-  if (ok()) {
-    md += "No regressions against baseline";
-    if (!new_cells.empty()) {
-      md += " (" + std::to_string(new_cells.size()) + " new cell(s))";
-    }
-    md += ".\n";
-  } else {
-    if (!regressions.empty()) {
-      md += "## Regressions\n\n| cell | field | baseline | current |\n|---|---|---:|---:|\n";
-      for (const Regression& r : regressions) {
-        char base_buf[32];
-        char cur_buf[32];
-        std::snprintf(base_buf, sizeof base_buf, "%.3f", r.baseline);
-        std::snprintf(cur_buf, sizeof cur_buf, "%.3f", r.current);
-        md += "| " + r.cell + " | " + r.field + " | " + base_buf + " | " + cur_buf + " |\n";
-      }
-      md += "\n";
-    }
-    if (!missing_cells.empty()) {
-      md += "## Cells missing from the current report\n\n";
-      for (const std::string& id : missing_cells) md += "- " + id + "\n";
-      md += "\n";
-    }
-  }
-  if (!new_cells.empty()) {
-    md += "## New cells (not in baseline)\n\n";
-    for (const std::string& id : new_cells) md += "- " + id + "\n";
-  }
-  return md;
-}
-
 }  // namespace idgka::sim

@@ -14,17 +14,15 @@
 // that caused them even though the registry is process-global.
 //
 // The report serializes to deterministic JSON (same seed -> byte-identical
-// bytes; pinned by sim_matrix_test) and to a markdown summary table, and
-// compare() diffs a current report against a committed baseline with
-// configurable regression thresholds — the CI matrix smoke job fails on
-// threshold breaches.
+// bytes; pinned by sim_matrix_test) and to a markdown summary table. CI
+// diffs the smoke sweep's JSON against a committed baseline with
+// tools/bench_compare, which requires every leaf to match exactly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/json_reader.h"
 #include "obs/registry.h"
 #include "sim/scenario.h"
 
@@ -133,45 +131,5 @@ class MatrixRunner {
  private:
   MatrixConfig cfg_;
 };
-
-// ------------------------------------------------------- baseline compare
-
-/// Regression thresholds for compare(); percentages are relative to the
-/// baseline value (a 0 baseline regresses only via `absolute_slack_us`).
-struct CompareThresholds {
-  /// Max allowed growth of latency percentiles (p50/p90/p99), in percent.
-  double latency_pct = 10.0;
-  /// Latency growth below this many microseconds never regresses (guards
-  /// tiny baselines against percentage noise).
-  SimTime latency_slack_us = 2'000;
-  /// Max allowed growth of drop / retry counters, in percent.
-  double counter_pct = 25.0;
-  double counter_slack = 4.0;
-  /// Convergence (completed/attempted) must not fall below baseline minus
-  /// this many percentage points.
-  double convergence_drop_pct = 0.0;
-};
-
-struct Regression {
-  std::string cell;
-  std::string field;
-  double baseline = 0.0;
-  double current = 0.0;
-};
-
-struct CompareResult {
-  std::vector<Regression> regressions;
-  std::vector<std::string> missing_cells;  ///< in baseline, not in current
-  std::vector<std::string> new_cells;      ///< in current, not in baseline
-  [[nodiscard]] bool ok() const { return regressions.empty() && missing_cells.empty(); }
-  [[nodiscard]] std::string to_markdown() const;
-};
-
-/// Compares two parsed MatrixReport JSON documents cell-by-cell (matched
-/// on id). Throws std::invalid_argument when either document is not a
-/// matrix report.
-[[nodiscard]] CompareResult compare(const obs::json::JsonValue& baseline,
-                                    const obs::json::JsonValue& current,
-                                    const CompareThresholds& thresholds = {});
 
 }  // namespace idgka::sim

@@ -68,7 +68,7 @@ struct ScenarioConfig {
 
   DriverConfig driver;
   /// Hierarchical sharding knobs; `cluster.scheme` also selects the flat
-  /// scheme. Leave `cluster.loss_rate` at 0 — the link model owns loss.
+  /// scheme.
   cluster::ClusterConfig cluster;
   PowerConfig power;
   WaypointConfig waypoint;
@@ -110,7 +110,7 @@ struct MultiGroupConfig {
 
   DriverConfig driver;
   /// Hierarchical sharding knobs; `cluster.scheme` also selects the flat
-  /// scheme. Leave `cluster.loss_rate` at 0 — the link model owns loss.
+  /// scheme.
   cluster::ClusterConfig cluster;
 
   /// Template churn trace every group runs in its own id space: event ids

@@ -2,7 +2,7 @@
 //
 // A tiny cluster bound (min=2, max=4) forces the head set past max_cluster
 // at modest n, so these suites exercise tier nesting cheaply: tree shape,
-// the max_depth budget, key consistency through join/leave/partition/merge
+// unbounded nesting, key consistency through join/leave/partition/merge
 // across depth transitions, run-to-run determinism at equal seeds, and
 // monotonic lifetime energy accounting while tiers appear and dissolve.
 #include <gtest/gtest.h>
@@ -20,12 +20,11 @@ gka::Authority& tiny_authority() {
   return authority;
 }
 
-ClusterConfig deep_config(std::size_t max_depth = 0) {
+ClusterConfig deep_config() {
   ClusterConfig cfg;
   cfg.min_cluster = 2;
   cfg.max_cluster = 4;
   cfg.batch_capacity = 8;
-  cfg.max_depth = max_depth;
   return cfg;
 }
 
@@ -64,27 +63,13 @@ TEST(DepthKTest, NestedTierFormsWhenHeadsOverflowMaxCluster) {
   expect_consistent(session, "after deep form");
 }
 
-TEST(DepthKTest, MaxDepthTwoPinsLegacyFlatHeadTier) {
-  HierarchicalSession session(tiny_authority(), deep_config(/*max_depth=*/2), make_ids(30),
-                              /*seed=*/7);
+TEST(DepthKTest, NinetyMembersNestAtLeastFourTiers) {
+  // 90 members -> ~30 heads -> ~10 heads-of-heads, which still overflow
+  // max_cluster, so the tree nests again.
+  HierarchicalSession session(tiny_authority(), deep_config(), make_ids(90), /*seed=*/11);
   ASSERT_TRUE(session.form().success);
-  EXPECT_EQ(session.depth(), 2U);  // head ring stays flat regardless of size
-  expect_consistent(session, "after flat form");
-}
-
-TEST(DepthKTest, MaxDepthThreeBoundsTreeHeight) {
-  // 90 members -> ~30 heads -> ~10 heads-of-heads; unbounded that nests
-  // again, but max_depth=3 must stop at three tiers.
-  HierarchicalSession session(tiny_authority(), deep_config(/*max_depth=*/3), make_ids(90),
-                              /*seed=*/11);
-  ASSERT_TRUE(session.form().success);
-  EXPECT_EQ(session.depth(), 3U);
-  expect_consistent(session, "after bounded form");
-
-  HierarchicalSession unbounded(tiny_authority(), deep_config(), make_ids(90), /*seed=*/11);
-  ASSERT_TRUE(unbounded.form().success);
-  EXPECT_GE(unbounded.depth(), 4U);
-  expect_consistent(unbounded, "after unbounded form");
+  EXPECT_GE(session.depth(), 4U);
+  expect_consistent(session, "after 90-member form");
 }
 
 TEST(DepthKTest, ChurnIsDeterministicAcrossIdenticalRuns) {

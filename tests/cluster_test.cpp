@@ -10,6 +10,7 @@
 #include <set>
 
 #include "cluster/hierarchical_session.h"
+#include "sim/driver.h"
 
 namespace idgka::cluster {
 namespace {
@@ -258,11 +259,18 @@ TEST(Churn, SurvivesLossyNetworks) {
   ClusterConfig cfg;
   cfg.min_cluster = 4;
   cfg.max_cluster = 12;
-  cfg.loss_rate = 0.10;
   HierarchicalSession session(tiny_authority(), cfg, make_ids(32, 60000), 9);
-  ASSERT_TRUE(session.form().success);
-  ASSERT_TRUE(session.join(70000).success);
-  ASSERT_TRUE(session.leave(60003).success);
+  // Independent 10% loss per copy on every leaf and head-tier network.
+  sim::DriverConfig lossy;
+  lossy.link.loss_good = 0.10;
+  lossy.link.loss_bad = 0.10;
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, lossy, 9);
+  driver.attach(session);
+  ASSERT_TRUE(driver.form().success);
+  ASSERT_TRUE(driver.join(70000).success);
+  ASSERT_TRUE(driver.leave(60003).success);
+  EXPECT_GT(driver.copies_dropped(), 0U);
   expect_consistent(session, "churn at 10% loss");
 }
 

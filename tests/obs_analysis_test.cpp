@@ -285,14 +285,19 @@ TEST(JsonReader, TypedAccessorsRejectMismatches) {
   EXPECT_DOUBLE_EQ(doc.at("u").as_double(), 3.0);  // numeric widening is fine
 }
 
-TEST(JsonReader, FlattenNumbersPathsThroughArraysAndObjects) {
-  const auto flat = obs::json::flatten_numbers(
-      obs::json::parse(R"({"a":{"b":1,"skip":"str"},"arr":[10,{"c":2.5}],"top":3})"));
-  ASSERT_EQ(flat.size(), 4U);
-  EXPECT_DOUBLE_EQ(flat.at("a.b"), 1.0);
-  EXPECT_DOUBLE_EQ(flat.at("arr.0"), 10.0);
-  EXPECT_DOUBLE_EQ(flat.at("arr.1.c"), 2.5);
-  EXPECT_DOUBLE_EQ(flat.at("top"), 3.0);
+TEST(JsonReader, FlattenPathsEveryLeafThroughArraysAndObjects) {
+  const auto flat = obs::json::flatten(obs::json::parse(
+      R"({"a":{"b":1,"s":"str"},"arr":[10,{"c":2.5,"ok":true}],"top":3,"no":false,)"
+      R"("none":null})"));
+  ASSERT_EQ(flat.size(), 8U);
+  EXPECT_DOUBLE_EQ(flat.at("a.b").as_double(), 1.0);
+  EXPECT_DOUBLE_EQ(flat.at("arr.0").as_double(), 10.0);
+  EXPECT_DOUBLE_EQ(flat.at("arr.1.c").as_double(), 2.5);
+  EXPECT_DOUBLE_EQ(flat.at("top").as_double(), 3.0);
+  EXPECT_EQ(flat.at("a.s").as_string(), "str");
+  EXPECT_TRUE(flat.at("arr.1.ok").as_bool());
+  EXPECT_FALSE(flat.at("no").as_bool());
+  EXPECT_TRUE(flat.at("none").is_null());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Scenario-matrix runner: cell coverage, same-seed determinism, scoped
-// registry deltas and the baseline comparison thresholds.
+// registry deltas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,6 @@ namespace {
 
 using obs::json::JsonValue;
 using sim::ChurnLevel;
-using sim::CompareResult;
-using sim::CompareThresholds;
 using sim::LinkClass;
 using sim::MatrixConfig;
 using sim::MatrixReport;
@@ -145,120 +143,6 @@ TEST(Matrix, ChurnTraceIsDeterministicAndOrdered) {
   }
   // A calmer level generates fewer events.
   EXPECT_GT(a.size(), MatrixRunner::churn_trace({"calm", 2}, cfg).size());
-}
-
-// ------------------------------------------------------- baseline compare
-//
-// compare() unit tests run on hand-built report JSON so every threshold
-// edge is exact; the self-comparison test below covers the real shape.
-
-std::string report_doc(const std::vector<std::string>& cells) {
-  std::string out = R"({"matrix":"t","seed":1,"members":8,"cells":[)";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) out += ',';
-    out += cells[i];
-  }
-  return out + "]}";
-}
-
-std::string cell_doc(const std::string& id, std::uint64_t p50, std::uint64_t p90,
-                     std::uint64_t p99, std::uint64_t dropped, double convergence,
-                     std::uint64_t retries) {
-  std::string delta = retries == 0
-                          ? std::string(R"({"counters":{}})")
-                          : R"({"counters":{"cluster.rekey_retries":)" + std::to_string(retries) +
-                                "}}";
-  return R"({"id":")" + id + R"(","metrics":{"latency":{"p50_us":)" + std::to_string(p50) +
-         R"(,"p90_us":)" + std::to_string(p90) + R"(,"p99_us":)" + std::to_string(p99) +
-         R"(,"max_us":)" + std::to_string(p99) + R"(},"air":{"copies_dropped":)" +
-         std::to_string(dropped) + R"(},"rekeys":{"convergence":)" + std::to_string(convergence) +
-         R"(}},"delta":)" + delta + "}";
-}
-
-TEST(MatrixCompare, IdenticalReportsPass) {
-  const JsonValue doc =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 20'000, 30'000, 100, 1.0, 5)}));
-  const CompareResult r = sim::compare(doc, doc);
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(r.regressions.empty());
-  EXPECT_TRUE(r.missing_cells.empty());
-  EXPECT_TRUE(r.new_cells.empty());
-}
-
-TEST(MatrixCompare, LatencyGrowthBeyondSlackAndPctRegresses) {
-  const JsonValue base =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 20'000, 30'000, 0, 1.0, 0)}));
-  // p90 +30% (and +6 ms, beyond the 2 ms slack) with default 10% threshold.
-  const JsonValue cur =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 26'000, 30'000, 0, 1.0, 0)}));
-  const CompareResult r = sim::compare(base, cur);
-  ASSERT_EQ(r.regressions.size(), 1U);
-  EXPECT_EQ(r.regressions[0].cell, "c1");
-  EXPECT_EQ(r.regressions[0].field, "p90_us");
-  EXPECT_DOUBLE_EQ(r.regressions[0].baseline, 20'000.0);
-  EXPECT_DOUBLE_EQ(r.regressions[0].current, 26'000.0);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.to_markdown().find("p90_us"), std::string::npos);
-}
-
-TEST(MatrixCompare, SlackAbsorbsSmallAbsoluteGrowth) {
-  // +1.5 ms on p50 is a 15% jump but sits inside the 2 ms absolute slack —
-  // percentage thresholds must not fire on tiny baselines.
-  const JsonValue base =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 20'000, 30'000, 0, 1.0, 0)}));
-  const JsonValue cur =
-      obs::json::parse(report_doc({cell_doc("c1", 11'500, 20'000, 30'000, 0, 1.0, 0)}));
-  EXPECT_TRUE(sim::compare(base, cur).ok());
-}
-
-TEST(MatrixCompare, CounterAndConvergenceRegressions) {
-  const JsonValue base =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 20'000, 30'000, 100, 1.0, 2)}));
-  // Drops +30% (> 25% and > slack 4), retries 2 -> 12, convergence 1 -> 0.5.
-  const JsonValue cur =
-      obs::json::parse(report_doc({cell_doc("c1", 10'000, 20'000, 30'000, 130, 0.5, 12)}));
-  const CompareResult r = sim::compare(base, cur);
-  std::set<std::string> fields;
-  for (const sim::Regression& reg : r.regressions) fields.insert(reg.field);
-  EXPECT_TRUE(fields.contains("copies_dropped"));
-  EXPECT_TRUE(fields.contains("cluster.rekey_retries"));
-  EXPECT_TRUE(fields.contains("convergence"));
-}
-
-TEST(MatrixCompare, MissingCellFailsNewCellDoesNot) {
-  const JsonValue base = obs::json::parse(report_doc(
-      {cell_doc("c1", 1000, 2000, 3000, 0, 1.0, 0), cell_doc("c2", 1000, 2000, 3000, 0, 1.0, 0)}));
-  const JsonValue cur = obs::json::parse(report_doc(
-      {cell_doc("c1", 1000, 2000, 3000, 0, 1.0, 0), cell_doc("c3", 1000, 2000, 3000, 0, 1.0, 0)}));
-  const CompareResult r = sim::compare(base, cur);
-  ASSERT_EQ(r.missing_cells, (std::vector<std::string>{"c2"}));
-  ASSERT_EQ(r.new_cells, (std::vector<std::string>{"c3"}));
-  EXPECT_FALSE(r.ok());  // a vanished cell is a regression...
-  const CompareResult only_new = sim::compare(
-      obs::json::parse(report_doc({cell_doc("c1", 1000, 2000, 3000, 0, 1.0, 0)})), cur);
-  EXPECT_TRUE(only_new.ok());  // ...a new cell is not
-}
-
-TEST(MatrixCompare, RejectsNonReportDocuments) {
-  const JsonValue report =
-      obs::json::parse(report_doc({cell_doc("c1", 1000, 2000, 3000, 0, 1.0, 0)}));
-  EXPECT_THROW((void)sim::compare(obs::json::parse(R"({"bench":"x"})"), report),
-               std::invalid_argument);
-  EXPECT_THROW((void)sim::compare(report, obs::json::parse("[]")), std::invalid_argument);
-}
-
-TEST(MatrixCompare, RealReportSelfComparisonPasses) {
-  obs::Registry::global().reset();
-  MatrixConfig cfg = small_config();
-  // Single-cell sweep: this test exercises shape compatibility between
-  // MatrixReport::to_json() and compare(), not the full matrix again.
-  cfg.topologies = {sim::Topology::kHierarchical};
-  cfg.link_classes = {LinkClass::manet()};
-  cfg.loss_models = {{"bursty10", 0.10, true}};
-  const JsonValue doc = obs::json::parse(MatrixRunner(cfg).run().to_json());
-  const CompareResult r = sim::compare(doc, doc, CompareThresholds{});
-  EXPECT_TRUE(r.ok()) << r.to_markdown();
-  EXPECT_TRUE(r.new_cells.empty());
 }
 
 }  // namespace

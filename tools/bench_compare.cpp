@@ -1,16 +1,19 @@
-// bench_compare: diff a bench JSON against a committed baseline.
+// bench_compare: diff a bench JSON or scenario-matrix report against a
+// committed baseline.
 //
 // Usage:
 //   bench_compare <baseline.json> <current.json> [--pct X] [--ignore SUB]...
 //
-// Flattens every numeric leaf of both documents into "path -> value" maps
-// (obs::json::flatten_numbers) and compares them. Paths containing
-// "wall_ms" (host timing) or "peak_rss" (host memory) — never comparable
-// across machines — are ignored by default; --ignore adds more substrings. The sim/engine bench metrics
-// outside those paths are pure functions of the seeds, so the default
-// tolerance is exact equality; --pct X tolerates X percent relative drift
-// for noisy fields. Exits 1 on any difference beyond tolerance, printing
-// one line per offending path.
+// Flattens every leaf of both documents (numbers, booleans, strings and
+// nulls) into "path -> value" maps (obs::json::flatten) and compares them.
+// Paths containing "wall_ms" (host timing) or "peak_rss" (host memory) —
+// never comparable across machines — are ignored by default; --ignore adds
+// more substrings. The bench metrics and scenario-matrix reports outside
+// those paths are pure functions of the seeds, so the default tolerance is
+// exact equality; --pct X tolerates X percent relative drift for noisy
+// numeric fields. Booleans, strings and nulls must match exactly, kind
+// included. Exits 1 on any difference beyond tolerance, printing one line
+// per offending path.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +28,8 @@
 
 namespace {
 
+using idgka::obs::json::JsonValue;
+
 bool read_file(const char* path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -38,6 +43,29 @@ int usage() {
   std::fprintf(stderr,
                "usage: bench_compare <baseline.json> <current.json> [--pct X] [--ignore SUB]...\n");
   return 2;
+}
+
+std::string show(const JsonValue& v) {
+  if (v.is_number()) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6g", v.as_double());
+    return buf;
+  }
+  if (v.kind() == JsonValue::Kind::kBool) return v.as_bool() ? "true" : "false";
+  return v.is_string() ? "\"" + v.as_string() + "\"" : "null";
+}
+
+/// Numbers may drift by `pct` percent of the baseline; every other leaf
+/// must have the baseline's kind and value.
+bool matches(const JsonValue& base, const JsonValue& cur, double pct) {
+  if (base.is_number() && cur.is_number()) {
+    return std::fabs(cur.as_double() - base.as_double()) <=
+           std::fabs(base.as_double()) * pct / 100.0 + 1e-12;
+  }
+  if (base.kind() != cur.kind()) return false;
+  if (base.kind() == JsonValue::Kind::kBool) return base.as_bool() == cur.as_bool();
+  if (base.is_string()) return base.as_string() == cur.as_string();
+  return true;  // both null
 }
 
 bool ignored(const std::string& path, const std::vector<std::string>& ignores) {
@@ -82,11 +110,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::map<std::string, double> baseline;
-  std::map<std::string, double> current;
+  std::map<std::string, JsonValue> baseline;
+  std::map<std::string, JsonValue> current;
   try {
-    baseline = idgka::obs::json::flatten_numbers(idgka::obs::json::parse(baseline_text));
-    current = idgka::obs::json::flatten_numbers(idgka::obs::json::parse(current_text));
+    baseline = idgka::obs::json::flatten(idgka::obs::json::parse(baseline_text));
+    current = idgka::obs::json::flatten(idgka::obs::json::parse(current_text));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_compare: %s\n", e.what());
     return 1;
@@ -97,22 +125,20 @@ int main(int argc, char** argv) {
     if (ignored(path, ignores)) continue;
     const auto it = current.find(path);
     if (it == current.end()) {
-      std::printf("MISSING  %s (baseline %.6g)\n", path.c_str(), base);
+      std::printf("MISSING  %s (baseline %s)\n", path.c_str(), show(base).c_str());
       ++differences;
       continue;
     }
-    const double cur = it->second;
-    const double diff = std::fabs(cur - base);
-    const double allowed = std::fabs(base) * pct / 100.0;
-    if (diff > allowed + 1e-12) {
-      std::printf("DIFFER   %s baseline %.6g current %.6g\n", path.c_str(), base, cur);
+    if (!matches(base, it->second, pct)) {
+      std::printf("DIFFER   %s baseline %s current %s\n", path.c_str(), show(base).c_str(),
+                  show(it->second).c_str());
       ++differences;
     }
   }
   for (const auto& [path, cur] : current) {
     if (ignored(path, ignores)) continue;
     if (!baseline.contains(path)) {
-      std::printf("NEW      %s (current %.6g)\n", path.c_str(), cur);
+      std::printf("NEW      %s (current %s)\n", path.c_str(), show(cur).c_str());
       ++differences;
     }
   }

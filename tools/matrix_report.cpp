@@ -1,40 +1,26 @@
-// matrix_report: run the scenario-matrix sweep and compare reports.
+// matrix_report: run the scenario-matrix sweep.
 //
 // Usage:
 //   matrix_report run [--out report.json] [--md report.md] [--seed N]
 //                     [--members N] [--small]
-//   matrix_report compare <baseline.json> <current.json>
-//                     [--latency-pct X] [--counter-pct X]
 //
 // `run` sweeps {topology x link class (manet/leo/geo) x loss model x
 // churn} with sim::MatrixRunner and writes the comparative report (JSON
 // and/or markdown; markdown goes to stdout when neither file is given).
 // --small shrinks the sweep to a CI-sized smoke matrix (2 link classes,
-// 2 loss models, 1 churn level).
-//
-// `compare` diffs a current report against a committed baseline with the
-// regression thresholds from sim::CompareThresholds; prints the verdict
-// as markdown and exits 1 when a regression (or a missing cell) is found.
+// 2 loss models, 1 churn level). The report is a pure function of the
+// seed: CI diffs the smoke sweep's JSON against baselines/matrix_smoke.json
+// with tools/bench_compare.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "sim/matrix.h"
 
 namespace {
-
-bool read_file(const char* path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
 
 bool write_file(const char* path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -45,9 +31,7 @@ bool write_file(const char* path, const std::string& text) {
 int usage() {
   std::fprintf(stderr,
                "usage: matrix_report run [--out report.json] [--md report.md] [--seed N]\n"
-               "                         [--members N] [--small]\n"
-               "       matrix_report compare <baseline.json> <current.json>\n"
-               "                         [--latency-pct X] [--counter-pct X]\n");
+               "                         [--members N] [--small]\n");
   return 2;
 }
 
@@ -87,51 +71,12 @@ int run_sweep(int argc, char** argv) {
   return 0;
 }
 
-int run_compare(int argc, char** argv) {
-  const char* baseline_path = nullptr;
-  const char* current_path = nullptr;
-  idgka::sim::CompareThresholds thresholds;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--latency-pct") == 0 && i + 1 < argc) {
-      thresholds.latency_pct = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--counter-pct") == 0 && i + 1 < argc) {
-      thresholds.counter_pct = std::strtod(argv[++i], nullptr);
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else if (baseline_path == nullptr) {
-      baseline_path = argv[i];
-    } else if (current_path == nullptr) {
-      current_path = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (baseline_path == nullptr || current_path == nullptr) return usage();
-
-  std::string baseline_text;
-  std::string current_text;
-  if (!read_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "matrix_report: cannot read %s\n", baseline_path);
-    return 1;
-  }
-  if (!read_file(current_path, current_text)) {
-    std::fprintf(stderr, "matrix_report: cannot read %s\n", current_path);
-    return 1;
-  }
-  const idgka::sim::CompareResult result =
-      idgka::sim::compare(idgka::obs::json::parse(baseline_text),
-                          idgka::obs::json::parse(current_text), thresholds);
-  std::cout << result.to_markdown();
-  return result.ok() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   try {
     if (std::strcmp(argv[1], "run") == 0) return run_sweep(argc, argv);
-    if (std::strcmp(argv[1], "compare") == 0) return run_compare(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "matrix_report: %s\n", e.what());
     return 1;
