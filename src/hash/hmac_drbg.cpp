@@ -6,7 +6,6 @@
 namespace idgka::hash {
 
 HmacDrbg::HmacDrbg(std::span<const std::uint8_t> seed) {
-  key_.fill(0x00);
   v_.fill(0x01);
   update(seed);
 }
@@ -16,7 +15,6 @@ HmacDrbg::HmacDrbg(std::string_view label)
           reinterpret_cast<const std::uint8_t*>(label.data()), label.size())) {}
 
 HmacDrbg::HmacDrbg(std::uint64_t seed, std::string_view label) {
-  key_.fill(0x00);
   v_.fill(0x01);
   std::vector<std::uint8_t> material;
   material.reserve(8 + label.size());
@@ -30,14 +28,14 @@ void HmacDrbg::update(std::span<const std::uint8_t> provided) {
   std::vector<std::uint8_t> buf(v_.begin(), v_.end());
   buf.push_back(0x00);
   buf.insert(buf.end(), provided.begin(), provided.end());
-  key_ = hmac_sha256(key_, buf);
-  v_ = hmac_sha256(key_, v_);
+  mac_ = HmacSha256(mac_.mac(buf));
+  v_ = mac_.mac(v_);
   if (!provided.empty()) {
     buf.assign(v_.begin(), v_.end());
     buf.push_back(0x01);
     buf.insert(buf.end(), provided.begin(), provided.end());
-    key_ = hmac_sha256(key_, buf);
-    v_ = hmac_sha256(key_, v_);
+    mac_ = HmacSha256(mac_.mac(buf));
+    v_ = mac_.mac(v_);
   }
 }
 
@@ -46,7 +44,7 @@ void HmacDrbg::reseed(std::span<const std::uint8_t> material) { update(material)
 void HmacDrbg::fill(std::span<std::uint8_t> out) {
   std::size_t produced = 0;
   while (produced < out.size()) {
-    v_ = hmac_sha256(key_, v_);
+    v_ = mac_.mac(v_);
     const std::size_t take = std::min(v_.size(), out.size() - produced);
     std::copy_n(v_.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(produced));
     produced += take;

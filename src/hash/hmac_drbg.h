@@ -3,7 +3,9 @@
 // The library's cryptographic randomness source. Deterministic under a fixed
 // seed, which the network simulator exploits: each protocol node gets an
 // independent DRBG derived from (master seed, node id), making entire
-// multi-party protocol executions reproducible bit-for-bit.
+// multi-party protocol executions reproducible bit-for-bit. The HMAC key
+// changes only on update(), so the generator keeps it as an HmacSha256
+// midstate: a 160-bit draw costs 8 SHA-256 compressions instead of 12.
 #pragma once
 
 #include <array>
@@ -34,7 +36,7 @@ class HmacDrbg final : public mpint::Rng {
  private:
   void update(std::span<const std::uint8_t> provided);
 
-  std::array<std::uint8_t, 32> key_{};
+  HmacSha256 mac_{std::array<std::uint8_t, 32>{}};  // key K, absorbed; K starts all-zero
   std::array<std::uint8_t, 32> v_{};
 };
 

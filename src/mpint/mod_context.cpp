@@ -6,26 +6,22 @@
 #include <memory>
 #include <stdexcept>
 
+#include "mpint/mont_kernels.h"
 #include "obs/trace.h"
 
 namespace idgka::mpint {
 
 namespace {
 
-using u128 = unsigned __int128;
+using detail::neg_inv64;
+using detail::reduce_once;
+using detail::u128;
 using Limb = BigInt::Limb;
 
 std::atomic<std::uint64_t> g_exps{0};
 std::atomic<std::uint64_t> g_mod_muls{0};
 std::atomic<std::uint64_t> g_mod_sqrs{0};
 std::atomic<std::uint64_t> g_multi_exps{0};
-
-// -n^{-1} mod 2^64 via Newton iteration (n odd).
-Limb neg_inv64(Limb n) {
-  Limb x = n;  // correct to 3 bits
-  for (int i = 0; i < 5; ++i) x *= 2 - n * x;
-  return ~x + 1;  // -(n^{-1})
-}
 
 // Shrink the window for short exponents so the 2^w-entry table pays for
 // itself (thresholds follow the usual bits-per-window break-even points).
@@ -37,7 +33,7 @@ unsigned fit_window(unsigned w, std::size_t exp_bits) {
 // ------------------------------------------------------------------ arena
 //
 // Thread-local bump allocator backing every Montgomery working set: window
-// tables, CIOS scratch, conversion temporaries. The pool is one fixed block
+// tables, kernel scratch, conversion temporaries. The pool is one fixed block
 // allocated at first use per thread; frames mark/release a watermark, so a
 // steady-state exponentiation — any nesting of exp/mul/sqr/comb walks —
 // performs zero heap allocations. A frame that overflows the pool (only the
@@ -95,34 +91,6 @@ LimbArena& tls_arena() {
   return arena;
 }
 
-// Conditional final subtraction shared by both Montgomery kernels: the
-// reduced value is t[0..k) plus carry limb `hi` (0 or 1) and lies in
-// [0, 2n); writes the canonical representative to out. `out` may alias the
-// kernel operands but never `t` (which lives in scratch).
-void reduce_once(const Limb* t, Limb hi, const Limb* n, std::size_t k, Limb* out) {
-  bool ge = hi != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (!ge) {
-    std::memcpy(out, t, k * sizeof(Limb));
-    return;
-  }
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb ti = t[i];
-    const Limb ni = n[i];
-    out[i] = ti - ni - borrow;
-    borrow = (ti < ni || (ti == ni && borrow != 0)) ? 1 : 0;
-  }
-}
-
 void check_residue(const ModContext& ctx, const Residue& r) {
   if (r.size() != ctx.limb_count()) {
     throw std::invalid_argument("ModContext: residue sized for another context");
@@ -171,6 +139,7 @@ ModContext::ModContext(BigInt modulus) : n_(std::move(modulus)) {
   n_limbs_ = n_.limbs();
   k_ = n_limbs_.size();
   n0_inv_ = neg_inv64(n_limbs_[0]);
+  kernels_ = select_kernels(k_);
   rr_limbs_ = (BigInt{1} << (2 * 64 * k_)).mod(n_).limbs();
   rr_limbs_.resize(k_, 0);
   // one_mont_ = 1 * R mod n.
@@ -185,127 +154,29 @@ ModContext::ModContext(BigInt modulus) : n_(std::move(modulus)) {
 
 // ------------------------------------------------------------ raw kernels
 
+// The fixed-width mulx kernels for the widths the benchmarked workloads run
+// (kTiny 3, kPaper 16) when the CPU has BMI2; the portable loops for every
+// other width and host.
+ModContext::Kernels ModContext::select_kernels(std::size_t k) {
+#if defined(__x86_64__)
+  if (detail::cpu_has_bmi2()) {
+    switch (k) {
+      case 3: return {detail::mont_mul_fixed<3>, detail::mont_sqr_fixed<3>, "mulx"};
+      case 16: return {detail::mont_mul_fixed<16>, detail::mont_sqr_fixed<16>, "mulx"};
+      default: break;
+    }
+  }
+#endif
+  return {detail::mont_mul_portable, detail::mont_sqr_portable, "portable"};
+}
+
 void ModContext::mont_mul_raw(const Limb* a, const Limb* b, Limb* out,
                               Limb* scratch) const {
-  // CIOS (coarsely integrated operand scanning), Koc et al.
-  // scratch never aliases the operands and the modulus is never written, so
-  // the restrict qualifiers let stores to t keep a/b/n limbs in registers.
-  Limb* __restrict t = scratch;  // k_ + 2 limbs used
-  std::memset(t, 0, (k_ + 2) * sizeof(Limb));
-  const Limb* __restrict n = n_limbs_.data();
-  for (std::size_t i = 0; i < k_; ++i) {
-    // t += a[i] * b
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const u128 s = static_cast<u128>(ai) * b[j] + t[j] + carry;
-      t[j] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-    u128 s = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<Limb>(s);
-    t[k_ + 1] = static_cast<Limb>(s >> 64);
-
-    // m = t[0] * n0_inv mod 2^64; t += m * n; t >>= 64
-    const Limb m = t[0] * n0_inv_;
-    s = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<Limb>(s >> 64);
-    for (std::size_t j = 1; j < k_; ++j) {
-      s = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-    s = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<Limb>(s);
-    t[k_] = t[k_ + 1] + static_cast<Limb>(s >> 64);
-    t[k_ + 1] = 0;
-  }
-  reduce_once(t, t[k_], n, k_, out);
+  kernels_.mul(a, b, out, scratch, n_limbs_.data(), n0_inv_, k_);
 }
 
 void ModContext::mont_sqr_raw(const Limb* a, Limb* out, Limb* scratch) const {
-  // Operand-scanning squaring: compute the off-diagonal products once,
-  // double them, add the diagonal, then run a separated (SOS) Montgomery
-  // reduction over the double-width result. Versus the general CIOS product
-  // this trades 2k^2 limb multiplications for ~1.5k^2 + k.
-  const std::size_t k = k_;
-  Limb* __restrict t = scratch;  // 2k + 2 limbs used
-  const Limb* __restrict n = n_limbs_.data();
-
-  // Off-diagonal cross products a[i]*a[j], j > i. Row 0 writes t[1 .. k-1]
-  // fresh (nothing to accumulate — skipping the reads also makes the
-  // full-width memset unnecessary); row i >= 1 accumulates into t[2i+1 ..
-  // i+k-1], all written by earlier rows, and its final carry lands in
-  // t[i+k] — untouched so far, so a plain store suffices.
-  {
-    const Limb a0 = a[0];
-    Limb carry = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      const u128 s = static_cast<u128>(a0) * a[j] + carry;
-      t[j] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-    t[k] = carry;
-  }
-  for (std::size_t i = 1; i + 1 < k; ++i) {
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const u128 s = static_cast<u128>(ai) * a[j] + t[i + j] + carry;
-      t[i + j] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-    t[i + k] = carry;
-  }
-  // The rows above covered t[1 .. 2k-2]; only these four were never written.
-  t[0] = 0;
-  t[2 * k - 1] = 0;
-  t[2 * k] = 0;
-  t[2 * k + 1] = 0;
-
-  // Each cross product appears twice in the square: double the partial sum
-  // (one-bit left shift — cross terms occupy t[1 .. 2k-2], so nothing
-  // shifts out of t[2k-1]) and add the diagonal a[i]^2 terms, fused into a
-  // single pass over even/odd limb pairs. a^2 < n^2 fits in 2k limbs, so
-  // both the final shift bit and the final diagonal carry are zero.
-  Limb top_bit = 0;
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    Limb lo = t[2 * i];
-    const Limb lo_top = lo >> 63;
-    lo = (lo << 1) | top_bit;
-    Limb hi = t[2 * i + 1];
-    top_bit = hi >> 63;
-    hi = (hi << 1) | lo_top;
-    u128 s = static_cast<u128>(a[i]) * a[i] + lo + carry;
-    t[2 * i] = static_cast<Limb>(s);
-    s = static_cast<u128>(hi) + static_cast<Limb>(s >> 64);
-    t[2 * i + 1] = static_cast<Limb>(s);
-    carry = static_cast<Limb>(s >> 64);
-  }
-
-  // Separated Montgomery reduction: k rounds of t += (t[i] * n' mod 2^64)
-  // * n << 64i, each zeroing limb i; the reduced value is t / R = t[k ..
-  // 2k]. Round i's carry lands at t[i+k], and any overflow there belongs at
-  // t[i+k+1] — exactly round i+1's carry position — so a single held limb
-  // forwards it without the data-dependent ripple walk (and its
-  // mispredicted branch) a generic SOS loop needs.
-  Limb hold = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb m = t[i] * n0_inv_;
-    Limb c = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const u128 s = static_cast<u128>(m) * n[j] + t[i + j] + c;
-      t[i + j] = static_cast<Limb>(s);
-      c = static_cast<Limb>(s >> 64);
-    }
-    const u128 s = static_cast<u128>(t[i + k]) + c + hold;
-    t[i + k] = static_cast<Limb>(s);
-    hold = static_cast<Limb>(s >> 64);
-  }
-  // The running total stays below 2 R^2, so the final hold stops at t[2k].
-  t[2 * k] += hold;
-  reduce_once(t + k, t[2 * k], n, k, out);
+  kernels_.sqr(a, out, scratch, n_limbs_.data(), n0_inv_, k_);
 }
 
 void ModContext::load_canonical(const BigInt& a, Limb* out) const {

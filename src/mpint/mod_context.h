@@ -15,10 +15,9 @@
 //     conversion in and one out per chain, fixed-width limb storage, and a
 //     heap-allocation-free steady state — working sets come from a
 //     thread-local limb arena, operands from the Residue's inline array;
-//   * a dedicated squaring kernel (operand-scanning with doubled
-//     off-diagonal terms + separate Montgomery reduction) that every
-//     exponentiation ladder uses for its squaring chain, at ~3/4 the
-//     low-level multiply count of the general CIOS product;
+//   * a dedicated squaring kernel that every exponentiation ladder uses for
+//     its squaring chain, at ~3/4 the low-level multiply count of the
+//     general product;
 //   * a fixed-base comb table (make_fixed_base / exp overload) for the
 //     repeated-generator case — the GKA hot path, where every member
 //     exponentiates the same g — trading 64 precomputed entries for ~6-fold
@@ -26,8 +25,16 @@
 //
 // Callers (gka::SystemParams, sig::GqPkg, ec::Curve, pairing::Fp2Ctx,
 // pki::CertificateAuthority) construct one context per long-lived modulus
-// and thread `const ModContext&` down; construction is O(size^2). The
-// context is the single seam for a kernel swap (ISA-specific limb loops).
+// and thread `const ModContext&` down; construction is O(size^2).
+//
+// Every operation bottoms out in one Montgomery multiply and one square
+// kernel (mpint/mont_kernels.h), picked once in the constructor from the
+// limb count and the CPU: on x86-64 with BMI2, moduli of 3 and 16 limbs
+// (192 and 1024 bits, the kTiny and kPaper profiles) get fixed-width mulx
+// product-scanning kernels; every other width, and every other host, the
+// portable runtime-width loops. Both pairs produce identical limbs, so
+// keys, counters and metrics do not depend on the choice; kernel() names
+// it. There is no switch: CPUID alone decides.
 //
 // The layer also keeps process-wide operation counters (exponentiations,
 // low-level modular multiplications and — separately — modular squarings,
@@ -100,6 +107,10 @@ class ModContext {
   [[nodiscard]] const BigInt& modulus() const { return n_; }
   /// Limb count of a Residue for this context (modulus width in limbs).
   [[nodiscard]] std::size_t limb_count() const { return k_; }
+  /// The Montgomery kernel pair chosen at construction: "mulx" (fixed-width
+  /// x86-64 BMI2 kernels) or "portable" (runtime-width loops). Read-only;
+  /// the choice follows from the limb count and the CPU alone.
+  [[nodiscard]] const char* kernel() const { return kernels_.name; }
 
   // ------------------------------------------------------------ BigInt API
 
@@ -196,9 +207,21 @@ class ModContext {
   };
   void fold(const Ops& ops) const;
 
-  // Raw Montgomery kernels. All pointers reference k_-limb little-endian
-  // magnitudes unless noted; `out` may alias any input.
-  // `scratch` must hold at least 2*k_ + 2 limbs.
+  /// One Montgomery kernel pair (see mpint/mont_kernels.h): out = a*b/R or
+  /// a^2/R mod n over k-limb arrays, with n0_inv = -n^{-1} mod 2^64.
+  struct Kernels {
+    void (*mul)(const Limb* a, const Limb* b, Limb* out, Limb* scratch, const Limb* n,
+                Limb n0_inv, std::size_t k);
+    void (*sqr)(const Limb* a, Limb* out, Limb* scratch, const Limb* n, Limb n0_inv,
+                std::size_t k);
+    const char* name;
+  };
+  /// The pair for a k-limb modulus on this CPU.
+  static Kernels select_kernels(std::size_t k);
+
+  // Raw Montgomery kernels: forward to the pair chosen at construction. All
+  // pointers reference k_-limb little-endian magnitudes unless noted; `out`
+  // may alias any input. `scratch` must hold at least 2*k_ + 2 limbs.
   void mont_mul_raw(const Limb* a, const Limb* b, Limb* out, Limb* scratch) const;
   void mont_sqr_raw(const Limb* a, Limb* out, Limb* scratch) const;
   // Loads |a| mod n into the k_-limb `out` (canonical domain, no R factor).
@@ -229,6 +252,7 @@ class ModContext {
   Limb n0_inv_ = 0;              // -n^{-1} mod 2^64
   std::vector<Limb> rr_limbs_;   // R^2 mod n (R = 2^(64k)), zero-padded to k_ limbs
   std::vector<Limb> one_mont_;   // R mod n (k_ limbs)
+  Kernels kernels_{};
 };
 
 /// Square root modulo a prime p with p % 4 == 3, through a caller-cached

@@ -125,6 +125,22 @@ TEST(HmacDrbg, StreamContinuityAndReseed) {
   EXPECT_NE(second, again);
 }
 
+TEST(HmacDrbg, KnownAnswerPinsTheStream) {
+  // Bytes recorded from the generator before it kept HMAC midstates: the
+  // first 96 bytes under (7, "kat"), then a 160-bit draw after a reseed.
+  HmacDrbg drbg(7, "kat");
+  std::array<std::uint8_t, 96> out{};
+  drbg.fill(out);
+  EXPECT_EQ(hex(out),
+            "1a29e66962989d889f931a0b3d1aa4a4334a3f1de607b09d53a9c369c5ec58c0"
+            "c2db476a428c4601ea499ed03b1c39c150447d8ca6a4e129a0031bebed549edd"
+            "34e3b0078b97b2afd2096e6ff973ca8bfa08fb3aed172d3ae372ba3620e9115d");
+  const std::string_view material = "reseed-material";
+  drbg.reseed(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(material.data()), material.size()));
+  EXPECT_EQ(mpint::random_bits(drbg, 160).to_hex(), "f60b527810db1f6bf8f2b1dd32dbb261c55f7267");
+}
+
 TEST(HmacDrbg, ActsAsRngForBigInts) {
   HmacDrbg drbg(99, "bigint");
   const auto v = mpint::random_bits(drbg, 256);

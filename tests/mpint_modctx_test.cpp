@@ -1,11 +1,18 @@
 // Property tests for the modular-arithmetic context layer: ModContext
 // exponentiation, multiplication and products cross-checked against naive
 // square-and-multiply over mod_mul, every sliding-window width, fixed-base
-// comb tables, the residue API and the process-wide operation counters.
+// comb tables, the residue API, the process-wide operation counters, and
+// the Montgomery kernels behind them: every limb count from 1 to 33, and
+// the fixed-width kernels against the portable loops.
 #include "mpint/mod_context.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "mpint/mont_kernels.h"
 #include "mpint/random.h"
 
 namespace idgka::mpint {
@@ -384,6 +391,107 @@ TEST(ModContext, TransientContextMatchesShared) {
     EXPECT_EQ(ModContext(m).exp(base, e), ctx.exp(base, e));
   }
 }
+
+// ------------------------------------------------------------- kernels ---
+
+// Moduli for one limb count k: a random odd one with its top bit set,
+// 2^(64k) - 1 (every limb all ones, so every carry fires) and
+// 2^(64k-1) + 1 (the smallest top limb a k-limb modulus can have).
+std::vector<BigInt> kernel_moduli(std::size_t k, Rng& rng) {
+  const std::size_t bits = 64 * k;
+  BigInt random = random_bits(rng, bits);
+  if (random.is_even()) random += BigInt{1};
+  return {random, (BigInt{1} << bits) - BigInt{1}, (BigInt{1} << (bits - 1)) + BigInt{1}};
+}
+
+// Operands for one modulus: 0, 1, m - 1 and two random values below m.
+std::vector<BigInt> kernel_operands(const BigInt& m, Rng& rng) {
+  return {BigInt{}, BigInt{1}, m - BigInt{1}, random_below(rng, m), random_below(rng, m)};
+}
+
+bool is_fixed_width(std::size_t k) { return k == 3 || k == 16; }
+
+TEST(ModContextKernels, ResidueOpsMatchBigIntAtEveryWidth) {
+  XoshiroRng rng(2121);
+  for (std::size_t k = 1; k <= 33; ++k) {
+    for (const BigInt& m : kernel_moduli(k, rng)) {
+      const ModContext ctx(m);
+      ASSERT_EQ(ctx.limb_count(), k);
+      const std::vector<BigInt> ops = kernel_operands(m, rng);
+      const BigInt e = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % 96));
+      for (const BigInt& a : ops) {
+        const Residue ra = ctx.to_residue(a);
+        Residue r;
+        ctx.sqr(ra, r);
+        EXPECT_EQ(ctx.from_residue(r), mod_mul(a, a, m)) << "k=" << k << " m=" << m.to_hex();
+        ctx.exp(ra, e, r);
+        EXPECT_EQ(ctx.from_residue(r), naive_pow(a, e, m))
+            << "k=" << k << " m=" << m.to_hex() << " e=" << e.to_hex();
+        for (const BigInt& b : ops) {  // includes a == b
+          ctx.mul(ra, ctx.to_residue(b), r);
+          EXPECT_EQ(ctx.from_residue(r), mod_mul(a, b, m)) << "k=" << k << " m=" << m.to_hex();
+        }
+      }
+    }
+  }
+}
+
+TEST(ModContextKernels, SelectionFollowsWidthAndCpu) {
+  XoshiroRng rng(2122);
+  for (std::size_t k = 1; k <= 33; ++k) {
+    const ModContext ctx(kernel_moduli(k, rng)[0]);
+    std::string want = "portable";
+#if defined(__x86_64__)
+    if (detail::cpu_has_bmi2() && is_fixed_width(k)) want = "mulx";
+#endif
+    EXPECT_EQ(ctx.kernel(), want) << "k=" << k;
+  }
+}
+
+#if defined(__x86_64__)
+
+// Calls the fixed K-limb kernels and the portable loops on the same raw
+// Montgomery-domain inputs; both must write the same limbs.
+template <std::size_t K>
+void check_fixed_against_portable(Rng& rng) {
+  using detail::Limb;
+  for (const BigInt& m : kernel_moduli(K, rng)) {
+    Limb n[K];
+    m.copy_limbs_to(n, K);
+    const Limb n0_inv = detail::neg_inv64(n[0]);
+    std::vector<BigInt> ops = kernel_operands(m, rng);
+    for (int i = 0; i < 40; ++i) ops.push_back(random_below(rng, m));
+    Limb scratch[2 * K + 2];
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      Limb a[K];
+      ops[i].copy_limbs_to(a, K);
+      Limb want[K];
+      Limb got[K];
+      detail::mont_sqr_portable(a, want, scratch, n, n0_inv, K);
+      detail::mont_sqr_fixed<K>(a, got, scratch, n, n0_inv, K);
+      EXPECT_EQ(std::memcmp(want, got, sizeof want), 0)
+          << "sqr K=" << K << " m=" << m.to_hex() << " a=" << ops[i].to_hex();
+      for (std::size_t j = 0; j < ops.size(); j += 1 + i % 3) {
+        Limb b[K];
+        ops[j].copy_limbs_to(b, K);
+        detail::mont_mul_portable(a, b, want, scratch, n, n0_inv, K);
+        detail::mont_mul_fixed<K>(a, b, got, scratch, n, n0_inv, K);
+        EXPECT_EQ(std::memcmp(want, got, sizeof want), 0)
+            << "mul K=" << K << " m=" << m.to_hex() << " a=" << ops[i].to_hex()
+            << " b=" << ops[j].to_hex();
+      }
+    }
+  }
+}
+
+TEST(ModContextKernels, FixedKernelsMatchPortable) {
+  if (!detail::cpu_has_bmi2()) GTEST_SKIP() << "CPU lacks BMI2 (mulx)";
+  XoshiroRng rng(2123);
+  check_fixed_against_portable<3>(rng);
+  check_fixed_against_portable<16>(rng);
+}
+
+#endif  // __x86_64__
 
 }  // namespace
 }  // namespace idgka::mpint
