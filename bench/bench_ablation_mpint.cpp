@@ -12,7 +12,11 @@
 //     ("mulx" fixed-width or "portable"; stdout only, never in the JSON,
 //     so the baseline stays host-independent) — and proves
 //     steady-state ModContext::exp allocation-free via the operator-new
-//     interposer in bench_util.h (gate: 0 heap allocs/op).
+//     interposer in bench_util.h (gate: 0 heap allocs/op). Times
+//     mod_inverse and gcd against a reference extended Euclid at
+//     192/1024/2048 bits (gate: <= 1 heap alloc per inverse, its result),
+//     and times SHA-256, a 160-bit HMAC-DRBG draw and AES-128-CBC
+//     decryption (no gate).
 //
 //  2. The Google-Benchmark microsuite (windowed Montgomery vs naive
 //     square-and-multiply, Karatsuba crossover, mod-mul, inverse). Runs only
@@ -23,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 // Interpose global operator new/delete for this binary: the residue-engine
@@ -31,8 +36,10 @@
 #define IDGKA_BENCH_COUNT_ALLOCS
 #include "bench_util.h"
 #include "hash/hmac_drbg.h"
+#include "hash/sha256.h"
 #include "mpint/mod_context.h"
 #include "mpint/random.h"
+#include "symc/modes.h"
 
 using namespace idgka;
 using mpint::BigInt;
@@ -253,6 +260,105 @@ ResidueRow run_residue_kernels(std::size_t bits, int iters, int reps) {
   return row;
 }
 
+// ------------------------------------------------------------------------
+// Inversion: the binary GCD core behind mod_inverse / gcd vs the extended
+// Euclid over BigInt::divmod that it replaced (kept here only as the
+// timing reference), plus the core's allocation count per inverse.
+// ------------------------------------------------------------------------
+
+// Extended Euclid as mod_inverse ran it before the binary GCD core: both
+// Bezout coefficients, one divmod and two multiplies per step.
+BigInt euclid_inverse(const BigInt& a, const BigInt& m) {
+  BigInt old_r = a, r = m;
+  BigInt old_s = 1, s = 0;
+  BigInt old_t = 0, t = 1;
+  while (!r.is_zero()) {
+    BigInt q, rem;
+    BigInt::divmod(old_r, r, q, rem);
+    old_r = std::exchange(r, std::move(rem));
+    old_s = std::exchange(s, old_s - q * s);
+    old_t = std::exchange(t, old_t - q * t);
+  }
+  return old_s.mod(m);
+}
+
+struct InverseRow {
+  std::size_t bits = 0;
+  double inv_us = 0.0;         // mpint::mod_inverse
+  double gcd_us = 0.0;         // mpint::gcd (unit check, no inverse)
+  double euclid_inv_us = 0.0;  // euclid_inverse above
+  double inv_allocs_per_op = 0.0;
+};
+
+InverseRow run_inverse(std::size_t bits, int iters, int euclid_iters, int reps) {
+  InverseRow row;
+  row.bits = bits;
+  const BigInt m = random_odd(bits, 31);
+  hash::HmacDrbg rng(32, "inverse");
+  // Cycle through distinct operands so the branch predictor cannot learn one
+  // operand's step pattern.
+  std::vector<BigInt> ops(64);
+  for (BigInt& a : ops) a = mpint::random_unit(rng, m);
+  for (const BigInt& a : ops) {
+    if (mpint::mod_inverse(a, m) != euclid_inverse(a, m)) {
+      std::fprintf(stderr, "FATAL: mod_inverse disagrees with Euclid at %zu bits\n", bits);
+      std::exit(2);
+    }
+  }
+  row.inv_us = best_of(reps, iters, [&] {
+    for (int i = 0; i < iters; ++i) benchmark::DoNotOptimize(mpint::mod_inverse(ops[i % 64], m));
+  });
+  row.gcd_us = best_of(reps, iters, [&] {
+    for (int i = 0; i < iters; ++i) benchmark::DoNotOptimize(mpint::gcd(ops[i % 64], m));
+  });
+  row.euclid_inv_us = best_of(reps, euclid_iters, [&] {
+    for (int i = 0; i < euclid_iters; ++i) {
+      benchmark::DoNotOptimize(euclid_inverse(ops[i % 64], m));
+    }
+  });
+  const std::uint64_t allocs0 = bench::heap_alloc_count();
+  for (const BigInt& a : ops) benchmark::DoNotOptimize(mpint::mod_inverse(a, m));
+  row.inv_allocs_per_op =
+      static_cast<double>(bench::heap_alloc_count() - allocs0) / static_cast<double>(ops.size());
+  return row;
+}
+
+// ------------------------------------------------------------------------
+// Symmetric primitives: the before-numbers for SHA-NI / AES-NI kernels.
+// ------------------------------------------------------------------------
+
+struct SymmetricRow {
+  double sha256_us_per_kib = 0.0;
+  double drbg_160b_us = 0.0;  // one mpint::random_bits(drbg, 160), as perfbench probes it
+  double aes_cbc_decrypt_us_per_kib = 0.0;
+};
+
+SymmetricRow run_symmetric(int reps) {
+  SymmetricRow row;
+  const std::vector<std::uint8_t> kib(1024, 0x5a);
+  constexpr int kShaIters = 2000;
+  row.sha256_us_per_kib = best_of(reps, kShaIters, [&] {
+    for (int i = 0; i < kShaIters; ++i) benchmark::DoNotOptimize(hash::Sha256::digest(kib));
+  });
+  hash::HmacDrbg drbg(7, "symmetric");
+  constexpr int kDrbgIters = 20000;
+  row.drbg_160b_us = best_of(reps, kDrbgIters, [&] {
+    for (int i = 0; i < kDrbgIters; ++i) {
+      benchmark::DoNotOptimize(mpint::random_bits(drbg, 160));
+    }
+  });
+  std::array<std::uint8_t, symc::Aes128::kKeySize> key{};
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i);
+  const symc::Aes128 aes(key);
+  const symc::Aes128::Block iv{};
+  const std::vector<std::uint8_t> ct = symc::cbc_encrypt(aes, iv, kib);
+  constexpr int kAesIters = 1000;
+  row.aes_cbc_decrypt_us_per_kib = best_of(reps, kAesIters, [&] {
+    for (int i = 0; i < kAesIters; ++i) benchmark::DoNotOptimize(symc::cbc_decrypt(aes, iv, ct));
+  });
+  return row;
+}
+
 int run_crypto_bench() {
   std::printf("=== ModContext windowed ladder vs fixed-base comb ===\n");
   std::printf("%6s %12s %12s %9s %10s %8s\n", "bits", "ctx us/op", "fixed us/op", "fixed x",
@@ -289,6 +395,24 @@ int run_crypto_bench() {
     std::printf("%6zu %9s %12.4f %12.4f %8.2fx %14.2f\n", r.bits, r.kernel, r.mul_us,
                 r.sqr_us, r.speedup_sqr(), r.exp_allocs_per_op);
   }
+
+  std::printf("\n=== Inversion: binary GCD core vs extended Euclid over divmod ===\n");
+  std::printf("%6s %10s %10s %14s %9s %14s\n", "bits", "inv us", "gcd us", "euclid inv us",
+              "inv x", "inv allocs/op");
+  std::vector<InverseRow> inverse;
+  inverse.push_back(run_inverse(192, 20000, 2000, 5));
+  inverse.push_back(run_inverse(1024, 2000, 200, 5));
+  inverse.push_back(run_inverse(2048, 600, 60, 5));
+  for (const InverseRow& r : inverse) {
+    std::printf("%6zu %10.2f %10.2f %14.2f %8.1fx %14.2f\n", r.bits, r.inv_us, r.gcd_us,
+                r.euclid_inv_us, r.euclid_inv_us / r.inv_us, r.inv_allocs_per_op);
+  }
+
+  const SymmetricRow sym = run_symmetric(5);
+  std::printf("\n=== Symmetric primitives (portable) ===\n");
+  std::printf("SHA-256 %.2f us/KiB, HMAC-DRBG 160-bit draw %.2f us, AES-128-CBC decrypt "
+              "%.2f us/KiB\n",
+              sym.sha256_us_per_kib, sym.drbg_160b_us, sym.aes_cbc_decrypt_us_per_kib);
 
   std::ofstream out("BENCH_crypto.json");
   out << "{\"bench\":\"crypto_context\",\"runs\":[";
@@ -333,10 +457,27 @@ int run_crypto_bench() {
                   r.bits, r.mul_us, r.sqr_us, r.speedup_sqr(), r.exp_allocs_per_op);
     out << buf;
   }
-  out << "]}\n";
+  out << "],\"inverse\":[";
+  for (std::size_t i = 0; i < inverse.size(); ++i) {
+    const InverseRow& r = inverse[i];
+    if (i > 0) out << ',';
+    char buf[200];
+    // _us fields are host timing (CI-ignored); allocs_per_op is exact.
+    std::snprintf(buf, sizeof buf,
+                  "{\"bits\":%zu,\"inv_us\":%.2f,\"gcd_us\":%.2f,\"euclid_inv_us\":%.2f,"
+                  "\"inv_allocs_per_op\":%.2f}",
+                  r.bits, r.inv_us, r.gcd_us, r.euclid_inv_us, r.inv_allocs_per_op);
+    out << buf;
+  }
+  char sym_buf[200];
+  std::snprintf(sym_buf, sizeof sym_buf,
+                "],\"symmetric\":{\"sha256_us_per_kib\":%.3f,\"drbg_160b_us\":%.3f,"
+                "\"aes_cbc_decrypt_us_per_kib\":%.3f}}\n",
+                sym.sha256_us_per_kib, sym.drbg_160b_us, sym.aes_cbc_decrypt_us_per_kib);
+  out << sym_buf;
   out.close();
-  std::printf("\nwrote BENCH_crypto.json (%zu + %zu + %zu rows)\n", rows.size(),
-              multi.size(), residue.size());
+  std::printf("\nwrote BENCH_crypto.json (%zu + %zu + %zu + %zu rows)\n", rows.size(),
+              multi.size(), residue.size(), inverse.size());
 
   const double gate = rows.back().speedup_fixed();
   if (gate < 2.5) {
@@ -373,6 +514,15 @@ int run_crypto_bench() {
       return 1;
     }
     std::printf("%zu-bit steady-state exp: 0 heap allocs/op\n", r.bits);
+  }
+  for (const InverseRow& r : inverse) {
+    if (r.inv_allocs_per_op > 1.0) {
+      std::printf("FAILED: %zu-bit mod_inverse performs %.2f heap allocs/op (want <= 1, "
+                  "the result's limbs)\n",
+                  r.bits, r.inv_allocs_per_op);
+      return 1;
+    }
+    std::printf("%zu-bit mod_inverse: %.2f heap allocs/op <= 1\n", r.bits, r.inv_allocs_per_op);
   }
   return 0;
 }
@@ -460,7 +610,7 @@ void BM_ModInverse(benchmark::State& state) {
   while (!mpint::gcd(a, m).is_one()) a = mpint::random_below(rng, m);
   for (auto _ : state) benchmark::DoNotOptimize(mpint::mod_inverse(a, m));
 }
-BENCHMARK(BM_ModInverse)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ModInverse)->Arg(192)->Arg(256)->Arg(1024)->Arg(2048);
 
 }  // namespace
 

@@ -1,10 +1,13 @@
 #include "mpint/bigint.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "mpint/residue.h"
 
 namespace idgka::mpint {
 
@@ -498,45 +501,241 @@ BigInt BigInt::mod(const BigInt& m) const {
   return r;
 }
 
-BigInt gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a.abs();
-  BigInt y = b.abs();
-  while (!y.is_zero()) {
-    BigInt t = x.mod(y);
-    x = std::move(y);
-    y = std::move(t);
-  }
+namespace {
+
+// ---------------------------------------------------------------------------
+// Binary GCD core (Pornin, "Optimized Binary GCD for Modular Inversion",
+// IACR ePrint 2020/972). Each outer round runs kRoundSteps binary-GCD steps
+// on 64-bit approximations of a and b (the low kRoundSteps bits plus the top
+// 33 bits of the pair's common length; exact once both fit in one limb),
+// records them as a 2x2 matrix (f0 g0; f1 g1), and applies that matrix to
+// the full-width values in one pass. Every step halves an even value or
+// subtracts b from an odd a, so the exact low bits decide every parity and
+// only the approximate comparison can pick the "wrong" subtraction; that
+// costs a negation, never correctness. Variable-time.
+// ---------------------------------------------------------------------------
+
+using Limb = BigInt::Limb;
+using i128 = __int128;
+
+constexpr int kRoundSteps = 31;
+constexpr Limb kLowMask = (Limb{1} << kRoundSteps) - 1;
+
+// m^{-1} mod 2^64 for odd m (Newton: each step doubles the correct bits).
+Limb inv_mod_2_64(Limb m) {
+  Limb x = m;  // correct to 3 bits: m*m == 1 (mod 8)
+  for (int i = 0; i < 5; ++i) x *= 2 - m * x;
   return x;
 }
 
-BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y) {
-  // Iterative extended Euclid on signed values.
-  BigInt old_r = a, r = b;
-  BigInt old_s = 1, s = 0;
-  BigInt old_t = 0, t = 1;
-  while (!r.is_zero()) {
-    BigInt q, rem;
-    BigInt::divmod(old_r, r, q, rem);
-    old_r = std::exchange(r, std::move(rem));
-    BigInt tmp_s = old_s - q * s;
-    old_s = std::exchange(s, std::move(tmp_s));
-    BigInt tmp_t = old_t - q * t;
-    old_t = std::exchange(t, std::move(tmp_t));
+// The 64-bit approximation of x over a pair whose longer value has `bits`
+// bits: x mod 2^31 plus 2^31 times x's top 33 bits of those `bits`.
+Limb approx(const Limb* x, std::size_t len, std::size_t bits) {
+  if (bits <= 64) return x[0];
+  const std::size_t pos = bits - 33;
+  const std::size_t li = pos / 64;
+  const unsigned sh = pos % 64;
+  Limb top = x[li] >> sh;
+  if (sh != 0 && li + 1 < len) top |= x[li + 1] << (64 - sh);
+  return (x[0] & kLowMask) | (top << kRoundSteps);
+}
+
+// (x, y) <- ((x*f0 + y*g0 + m*q0) / 2^31, (x*f1 + y*g1 + m*q1) / 2^31) in
+// place over n limbs, one pass. With kMod, q0 and q1 in [0, 2^31) are chosen
+// so the low 31 bits vanish (a Montgomery-style clear); without it the
+// division is exact by construction. Returns each result's signed word above
+// limb n-1.
+template <bool kMod>
+std::pair<std::int64_t, std::int64_t> apply_matrix(Limb* x, Limb* y, const Limb* m,
+                                                   std::size_t n, std::int64_t f0,
+                                                   std::int64_t g0, std::int64_t f1,
+                                                   std::int64_t g1, Limb m0inv) {
+  i128 cx = static_cast<i128>(x[0]) * f0 + static_cast<i128>(y[0]) * g0;
+  i128 cy = static_cast<i128>(x[0]) * f1 + static_cast<i128>(y[0]) * g1;
+  Limb q0 = 0;
+  Limb q1 = 0;
+  if constexpr (kMod) {
+    q0 = (-static_cast<Limb>(cx) * m0inv) & kLowMask;
+    q1 = (-static_cast<Limb>(cy) * m0inv) & kLowMask;
+    cx += static_cast<i128>(static_cast<u128>(m[0]) * q0);
+    cy += static_cast<i128>(static_cast<u128>(m[0]) * q1);
   }
-  x = std::move(old_s);
-  y = std::move(old_t);
-  return old_r;
+  Limb lx = static_cast<Limb>(cx);
+  Limb ly = static_cast<Limb>(cy);
+  cx >>= 64;
+  cy >>= 64;
+  for (std::size_t i = 1; i < n; ++i) {
+    cx += static_cast<i128>(x[i]) * f0 + static_cast<i128>(y[i]) * g0;
+    cy += static_cast<i128>(x[i]) * f1 + static_cast<i128>(y[i]) * g1;
+    if constexpr (kMod) {
+      cx += static_cast<i128>(static_cast<u128>(m[i]) * q0);
+      cy += static_cast<i128>(static_cast<u128>(m[i]) * q1);
+    }
+    const Limb wx = static_cast<Limb>(cx);
+    const Limb wy = static_cast<Limb>(cy);
+    cx >>= 64;
+    cy >>= 64;
+    x[i - 1] = (lx >> kRoundSteps) | (wx << (64 - kRoundSteps));
+    y[i - 1] = (ly >> kRoundSteps) | (wy << (64 - kRoundSteps));
+    lx = wx;
+    ly = wy;
+  }
+  x[n - 1] = (lx >> kRoundSteps) | (static_cast<Limb>(cx) << (64 - kRoundSteps));
+  y[n - 1] = (ly >> kRoundSteps) | (static_cast<Limb>(cy) << (64 - kRoundSteps));
+  return {static_cast<std::int64_t>(cx >> kRoundSteps),
+          static_cast<std::int64_t>(cy >> kRoundSteps)};
+}
+
+// x <- 2^(64n) - x: the magnitude of a result whose top word came out -1.
+void negate(Limb* x, std::size_t n) {
+  Limb carry = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb t = ~x[i] + carry;
+    carry = t < carry ? 1 : 0;
+    x[i] = t;
+  }
+}
+
+// Brings x + top*2^(64n), known to lie in (-m, 2m), into [0, m).
+void normalize_mod(Limb* x, std::int64_t top, const Limb* m, std::size_t n) {
+  if (top < 0) {
+    Limb carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u128 t = static_cast<u128>(x[i]) + m[i] + carry;
+      x[i] = static_cast<Limb>(t);
+      carry = static_cast<Limb>(t >> 64);
+    }
+    return;
+  }
+  if (top == 0) {
+    for (std::size_t i = n; i-- > 0;) {
+      if (x[i] != m[i]) {
+        if (x[i] < m[i]) return;
+        break;
+      }
+    }
+  }
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 t = static_cast<u128>(x[i]) - m[i] - borrow;
+    x[i] = static_cast<Limb>(t);
+    borrow = static_cast<Limb>(t >> 64) & 1U;
+  }
+}
+
+// For odd m and any magnitude x: returns whether gcd(x, m) == 1. `g`, when
+// set, receives gcd(x, m); `inv`, when set and the gcd is 1, receives
+// x^{-1} mod m. Works in place on fixed buffers (stack up to the Residue
+// inline width); the only heap allocations are the BigInt results.
+bool binary_gcd(std::span<const Limb> x, std::span<const Limb> m, BigInt* g, BigInt* inv) {
+  const std::size_t k = m.size();
+  std::size_t len = std::max(x.size(), k);
+  const std::size_t need = 2 * len + (inv != nullptr ? 2 * k : 0);
+  std::array<Limb, 4 * Residue::kInlineLimbs> stack;
+  std::vector<Limb> heap;
+  Limb* a = stack.data();
+  if (need > stack.size()) {
+    heap.resize(need);
+    a = heap.data();
+  }
+  Limb* b = a + len;
+  Limb* u = b + len;
+  Limb* v = u + k;
+  std::fill(a, a + need, Limb{0});
+  std::copy(x.begin(), x.end(), a);
+  std::copy(m.begin(), m.end(), b);
+  // Invariant: a == u*x and b == v*x (mod m).
+  if (inv != nullptr) u[0] = 1;
+  const Limb m0inv = inv_mod_2_64(m[0]);
+
+  while (std::any_of(a, a + len, [](Limb l) { return l != 0; })) {
+    while (len > 1 && a[len - 1] == 0 && b[len - 1] == 0) --len;
+    const Limb top = a[len - 1] | b[len - 1];
+    const std::size_t bits = 64 * len - static_cast<std::size_t>(__builtin_clzll(top));
+    Limb ab = approx(a, len, bits);
+    Limb bb = approx(b, len, bits);
+    std::int64_t f0 = 1, g0 = 0, f1 = 0, g1 = 1;
+    // Branch-free steps: the parity and comparison outcomes are
+    // unpredictable, so masks beat branches here (not for constant time).
+    for (int i = 0; i < kRoundSteps; ++i) {
+      const Limb odd = Limb{0} - (ab & 1U);
+      const Limb swap = odd & (Limb{0} - static_cast<Limb>(ab < bb));
+      const auto sodd = static_cast<std::int64_t>(odd);
+      const auto sswap = static_cast<std::int64_t>(swap);
+      const Limb t = (ab ^ bb) & swap;
+      ab ^= t;
+      bb ^= t;
+      const std::int64_t tf = (f0 ^ f1) & sswap;
+      f0 ^= tf;
+      f1 ^= tf;
+      const std::int64_t tg = (g0 ^ g1) & sswap;
+      g0 ^= tg;
+      g1 ^= tg;
+      ab = (ab - (bb & odd)) >> 1;
+      f0 -= f1 & sodd;
+      g0 -= g1 & sodd;
+      f1 += f1;  // f1, g1 track b's scale relative to the halved a
+      g1 += g1;
+    }
+    const auto [ta, tb] = apply_matrix<false>(a, b, nullptr, len, f0, g0, f1, g1, 0);
+    if (ta < 0) {
+      negate(a, len);
+      f0 = -f0;
+      g0 = -g0;
+    }
+    if (tb < 0) {
+      negate(b, len);
+      f1 = -f1;
+      g1 = -g1;
+    }
+    if (inv != nullptr) {
+      const auto [tu, tv] = apply_matrix<true>(u, v, m.data(), k, f0, g0, f1, g1, m0inv);
+      normalize_mod(u, tu, m.data(), k);
+      normalize_mod(v, tv, m.data(), k);
+    }
+  }
+  const bool unit = b[0] == 1 && std::all_of(b + 1, b + len, [](Limb l) { return l == 0; });
+  if (g != nullptr) *g = BigInt::from_limbs(b, len);
+  if (inv != nullptr && unit) *inv = BigInt::from_limbs(v, k);
+  return unit;
+}
+
+std::size_t trailing_zeros(const BigInt& x) {
+  std::size_t i = 0;
+  while (x.limb(i) == 0) ++i;
+  return 64 * i + static_cast<std::size_t>(__builtin_ctzll(x.limb(i)));
+}
+
+}  // namespace
+
+BigInt gcd(const BigInt& a, const BigInt& b) {
+  if (a.is_zero()) return b.abs();
+  if (b.is_zero()) return a.abs();
+  const std::size_t shift = std::min(trailing_zeros(a), trailing_zeros(b));
+  if (shift != 0) return gcd(a >> shift, b >> shift) << shift;
+  const BigInt& odd = a.is_odd() ? a : b;
+  const BigInt& other = a.is_odd() ? b : a;
+  BigInt g;
+  binary_gcd(other.limbs(), odd.limbs(), &g, nullptr);
+  return g;
 }
 
 BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   if (m <= BigInt{0}) throw std::domain_error("mod_inverse: modulus must be positive");
-  BigInt x;
-  BigInt y;
-  const BigInt g = egcd(a.mod(m), m, x, y);
-  if (!(g.abs().is_one())) throw std::domain_error("mod_inverse: not invertible");
-  // Fix sign conventions: g may be -1 when inputs are negative.
-  if (g.negative()) x = -x;
-  return x.mod(m);
+  if (m.is_even()) {
+    // Through the odd side: y = m^{-1} mod a gives m*y - 1 == a*t, so
+    // a*(-t) == 1 (mod m). An even a shares the factor 2 with m.
+    const BigInt x = a.mod(m);
+    if (x.is_even()) throw std::domain_error("mod_inverse: not invertible");
+    const BigInt y = mod_inverse(m, x);
+    return (m - (m * y - BigInt{1}) / x).mod(m);
+  }
+  BigInt inv;
+  const bool unit =
+      a.negative() ? binary_gcd(a.mod(m).limbs(), m.limbs(), nullptr, &inv)
+                   : binary_gcd(a.limbs(), m.limbs(), nullptr, &inv);
+  if (!unit) throw std::domain_error("mod_inverse: not invertible");
+  return inv;
 }
 
 BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {

@@ -131,14 +131,22 @@ class BigInt {
   std::vector<Limb> limbs_;  // little-endian magnitude
 };
 
-/// Greatest common divisor of |a| and |b| (binary GCD).
+// gcd and mod_inverse share one binary GCD core on limbs (Pornin, IACR
+// ePrint 2020/972): for an odd modulus m it runs rounds of 31 binary-GCD
+// steps on 64-bit approximations and applies each round to the full-width
+// values in one pass, with the inverse tracked as (u*f + v*g)*2^-31 mod m.
+// It works in fixed limb buffers (stack up to 2048-bit operands) and
+// allocates only its result. It is variable-time: its running time depends
+// on the operand values, as the Euclid it replaced did.
+
+/// Greatest common divisor of |a| and |b| (0 when both are zero). Strips the
+/// common power of two, then runs the core with the odd operand as modulus.
 [[nodiscard]] BigInt gcd(const BigInt& a, const BigInt& b);
 
-/// Extended GCD: returns g = gcd(a, b) and sets x, y with a*x + b*y == g.
-BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y);
-
-/// Modular inverse of a modulo m (m > 0). Throws std::domain_error when
-/// gcd(a, m) != 1.
+/// Modular inverse of a modulo m (m > 0; a may be negative or >= m), in
+/// [0, m). Throws std::domain_error when gcd(a, m) != 1. An odd m runs the
+/// core directly; an even m (e^{-1} mod phi in generate_gq_modulus) goes
+/// through the odd side: y = m^{-1} mod a, then a^{-1} = m - (m*y - 1)/a.
 [[nodiscard]] BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
 /// (a * b) mod m with full-width intermediate.

@@ -127,7 +127,8 @@ class ModContext {
   /// table belongs to a different modulus.
   [[nodiscard]] BigInt exp(const FixedBaseTable& table, const BigInt& e) const;
 
-  /// a^(-1) mod n; throws std::domain_error if not invertible.
+  /// a^(-1) mod n through mod_inverse's binary GCD core (variable-time, not
+  /// counted in op_counts()); throws std::domain_error if not invertible.
   [[nodiscard]] BigInt inv(const BigInt& a) const;
 
   /// Joint multi-exponentiation: prod_i bases[i]^{exps[i]} mod n, evaluated

@@ -39,17 +39,9 @@ BigInt gq_hash_id(const GqParams& params, std::uint32_t id) {
 }
 
 GqIdentity gq_identity(const GqParams& params, std::uint32_t id) {
-  // Same candidate walk as gq_hash_id; egcd's Bezout coefficient is the
-  // inverse whenever the gcd is 1.
-  for (std::uint32_t ctr = 0;; ++ctr) {
-    BigInt v = hash_id_candidate(params, id, ctr);
-    if (v.is_zero()) continue;
-    BigInt x;
-    BigInt y;
-    if (mpint::egcd(v, params.n, x, y).is_one()) {
-      return GqIdentity{id, std::move(v), x.mod(params.n)};
-    }
-  }
+  BigInt h = gq_hash_id(params, id);
+  BigInt h_inv = mpint::mod_inverse(h, params.n);
+  return GqIdentity{id, std::move(h), std::move(h_inv)};
 }
 
 BigInt gq_challenge(std::span<const std::uint8_t> first, std::span<const std::uint8_t> second) {

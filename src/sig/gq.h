@@ -49,8 +49,8 @@ struct GqIdentity {
   BigInt h_inv;  ///< H(U)^{-1} mod n
 };
 
-/// Builds U's identity: one hash expansion and one extended Euclid, which
-/// both checks that H(U) is a unit and yields its inverse.
+/// Builds U's identity: gq_hash_id (whose unit check is one binary-GCD run)
+/// plus one mod_inverse for H(U)^{-1} mod n.
 [[nodiscard]] GqIdentity gq_identity(const GqParams& params, std::uint32_t id);
 
 /// Challenge hash c = H(first || second), mapping into a positive integer of

@@ -253,15 +253,13 @@ TEST(TauReuseAttack, RecoversLongTermSecretFromTwoLeaves) {
   const auto& r2 = sniffed.rounds[1].at(victim);
   ASSERT_NE(r1.c, r2.c);
 
-  // s1/s2 = S^(c1-c2); Bezout with e recovers S.
+  // s1/s2 = S^(c1-c2); a Bezout pair d*alpha + e*beta == 1 recovers S:
+  // alpha = d^{-1} mod e, beta = (1 - d*alpha)/e (exact).
   const BigInt d = r1.c - r2.c;
-  BigInt alpha, beta;
-  const BigInt g = mpint::egcd(d, params.gq.e, alpha, beta);
-  ASSERT_TRUE(g.abs().is_one()) << "gcd(c1-c2, e) must be 1 for the attack";
-  if (g.negative()) {
-    alpha = -alpha;
-    beta = -beta;
-  }
+  ASSERT_TRUE(mpint::gcd(d, params.gq.e).is_one()) << "gcd(c1-c2, e) must be 1 for the attack";
+  const BigInt alpha = mpint::mod_inverse(d, params.gq.e);
+  const BigInt beta = (BigInt{1} - d * alpha) / params.gq.e;
+  ASSERT_EQ(d * alpha + params.gq.e * beta, BigInt{1});
   const BigInt ratio =
       mpint::mod_mul(r1.s, mpint::mod_inverse(r2.s, params.gq.n), params.gq.n);
   const BigInt h_u = sig::gq_hash_id(params.gq, victim);

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mpint/mod_context.h"
+#include "mpint/prime.h"
 #include "mpint/random.h"
 
 namespace idgka::mpint {
@@ -199,18 +203,6 @@ TEST(NumberTheory, GcdKnownValues) {
   EXPECT_EQ(gcd(BigInt{-12}, BigInt{18}).to_dec(), "6");
 }
 
-TEST(NumberTheory, EgcdBezout) {
-  XoshiroRng rng(42);
-  for (int i = 0; i < 50; ++i) {
-    const BigInt a = random_bits(rng, 200);
-    const BigInt b = random_bits(rng, 180);
-    BigInt x, y;
-    const BigInt g = egcd(a, b, x, y);
-    EXPECT_EQ(a * x + b * y, g);
-    EXPECT_EQ(g, gcd(a, b));
-  }
-}
-
 TEST(NumberTheory, ModInverse) {
   EXPECT_EQ(mod_inverse(BigInt{3}, BigInt{7}).to_dec(), "5");
   EXPECT_EQ(mod_inverse(BigInt{10}, BigInt{17}).to_dec(), "12");
@@ -220,6 +212,145 @@ TEST(NumberTheory, ModInverse) {
   for (int i = 0; i < 30; ++i) {
     const BigInt a = random_range(rng, BigInt{1}, m);
     EXPECT_EQ(mod_mul(a, mod_inverse(a, m), m), BigInt{1});
+  }
+}
+
+// ----------------------------------------------------- binary GCD core ---
+
+// Reference extended Euclid over BigInt division: returns gcd(|a|, |b|) and
+// sets x with a*x == gcd (mod b) for a, b >= 0.
+BigInt ref_egcd(BigInt a, BigInt b, BigInt& x) {
+  BigInt x0{1};
+  BigInt x1{0};
+  while (!b.is_zero()) {
+    const BigInt q = a / b;
+    a = std::exchange(b, a - q * b);
+    x0 = std::exchange(x1, x0 - q * x1);
+  }
+  x = std::move(x0);
+  return a;
+}
+
+BigInt ref_gcd(const BigInt& a, const BigInt& b) {
+  BigInt x;
+  return ref_egcd(a.abs(), b.abs(), x);
+}
+
+// Checks gcd both ways round and mod_inverse (value or throw) against the
+// reference for one (a, m), m > 0.
+void expect_matches_reference(const BigInt& a, const BigInt& m) {
+  const BigInt g = ref_gcd(a, m);
+  EXPECT_EQ(gcd(a, m), g) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  EXPECT_EQ(gcd(m, a), g) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  if (g.is_one()) {
+    BigInt x;
+    ref_egcd(a.mod(m), m, x);
+    EXPECT_EQ(mod_inverse(a, m), x.mod(m)) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  } else {
+    EXPECT_THROW((void)mod_inverse(a, m), std::domain_error)
+        << "a=" << a.to_hex() << " m=" << m.to_hex();
+  }
+}
+
+// Odd moduli at limb count k: 3, a random one with its top bit set,
+// 2^(64k) - 1, 2^(64k-1) + 1 (both divisible by 3) and a product of two
+// half-width odd factors (a composite with a large known factor).
+std::vector<std::pair<BigInt, BigInt>> gcd_moduli(std::size_t k, Rng& rng) {
+  const std::size_t bits = 64 * k;
+  BigInt random = random_bits(rng, bits);
+  if (random.is_even()) random += BigInt{1};
+  BigInt factor = random_bits(rng, bits / 2);
+  if (factor.is_even()) factor += BigInt{1};
+  BigInt cofactor = random_bits(rng, bits - bits / 2);
+  if (cofactor.is_even()) cofactor += BigInt{1};
+  return {{BigInt{3}, BigInt{3}},
+          {random, BigInt{1}},
+          {(BigInt{1} << bits) - BigInt{1}, BigInt{3}},
+          {(BigInt{1} << (bits - 1)) + BigInt{1}, BigInt{3}},
+          {factor * cofactor, factor}};
+}
+
+TEST(BinaryGcd, MatchesReferenceEuclidAtEveryWidth) {
+  XoshiroRng rng(2323);
+  for (std::size_t k = 1; k <= 33; ++k) {
+    for (const auto& [m, factor] : gcd_moduli(k, rng)) {
+      const BigInt r = random_below(rng, m);
+      const std::vector<BigInt> operands = {
+          BigInt{},
+          BigInt{1},
+          m - BigInt{1},
+          r,
+          m,
+          m + r,                                    // a >= m
+          random_bits(rng, 64 * k + 70),            // wider than m
+          -r,                                       // negative
+          -(m + BigInt{1}),
+          factor * random_bits(rng, 1 + 64 * k / 2),  // shares a factor with m
+      };
+      for (const BigInt& a : operands) expect_matches_reference(a, m);
+    }
+  }
+}
+
+TEST(BinaryGcd, CrossesTheExactApproximationThreshold) {
+  // Pairs whose common length sits just below, at and above 64 bits, where
+  // the core switches from top-33-bit approximations to exact values.
+  XoshiroRng rng(2324);
+  for (std::size_t mbits = 58; mbits <= 72; ++mbits) {
+    for (int rep = 0; rep < 20; ++rep) {
+      BigInt m = random_bits(rng, mbits);
+      if (m.is_even()) m += BigInt{1};
+      const std::size_t abits = 58 + static_cast<std::size_t>(rng.next_u64() % 15);
+      expect_matches_reference(random_bits(rng, abits), m);
+    }
+  }
+  expect_matches_reference((BigInt{1} << 64) - BigInt{1}, (BigInt{1} << 64) + BigInt{1});
+  expect_matches_reference((BigInt{1} << 64) + BigInt{3}, (BigInt{1} << 63) + BigInt{1});
+}
+
+TEST(BinaryGcd, EvenModulusInverse) {
+  XoshiroRng rng(2325);
+  for (std::size_t k = 1; k <= 33; ++k) {
+    for (int rep = 0; rep < 4; ++rep) {
+      BigInt m = random_bits(rng, 64 * k - static_cast<std::size_t>(rng.next_u64() % 7));
+      if (m.is_odd()) m += BigInt{1};
+      BigInt a = random_below(rng, m);
+      if (rep % 2 == 0 && a.is_even()) a += BigInt{1};  // mostly invertible
+      expect_matches_reference(a, m);
+    }
+  }
+  expect_matches_reference(BigInt{1}, BigInt{2});
+  expect_matches_reference(BigInt{3}, BigInt{2});
+  expect_matches_reference(BigInt{-5}, BigInt{8});
+  expect_matches_reference(BigInt{4}, BigInt{8});
+  // The even modulus the library actually inverts under: e^{-1} mod phi.
+  const GqModulus key = generate_gq_modulus(rng, 512, BigInt{65537}, 16);
+  const BigInt phi = (key.p_prime - BigInt{1}) * (key.q_prime - BigInt{1});
+  BigInt x;
+  ASSERT_TRUE(ref_egcd(key.e, phi, x).is_one());
+  EXPECT_EQ(key.d, x.mod(phi));
+  EXPECT_EQ(mod_inverse(key.e, phi), key.d);
+  EXPECT_EQ(mod_mul(key.e, key.d, phi), BigInt{1});
+}
+
+TEST(BinaryGcd, GcdOfEvenZeroAndNegativeOperands) {
+  EXPECT_EQ(gcd(BigInt{}, BigInt{}), BigInt{});
+  EXPECT_EQ(gcd(BigInt{}, BigInt{-5}), BigInt{5});
+  EXPECT_EQ(gcd(BigInt{-8}, BigInt{}), BigInt{8});
+  EXPECT_EQ(gcd(BigInt{-12}, BigInt{-18}), BigInt{6});
+  EXPECT_EQ(gcd(BigInt{48}, BigInt{-64}), BigInt{16});
+  EXPECT_EQ(gcd(BigInt{3} << 70, BigInt{9} << 65), BigInt{3} << 65);
+  EXPECT_EQ(gcd(BigInt{1} << 200, BigInt{1} << 130), BigInt{1} << 130);
+  XoshiroRng rng(2326);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t shift_a = static_cast<std::size_t>(rng.next_u64() % 140);
+    const std::size_t shift_b = static_cast<std::size_t>(rng.next_u64() % 140);
+    const BigInt a = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % 400)) << shift_a;
+    const BigInt b = random_bits(rng, 1 + static_cast<std::size_t>(rng.next_u64() % 400)) << shift_b;
+    const BigInt g = ref_gcd(a, b);
+    EXPECT_EQ(gcd(a, b), g);
+    EXPECT_EQ(gcd(-a, b), g);
+    EXPECT_EQ(gcd(b, -a), g);
   }
 }
 
