@@ -95,6 +95,6 @@ int main() {
   std::printf("(p) = paper row, (o) = measured from an instrumented run at |p|=|n|=1024.\n");
   std::printf("SSN note: our concrete SSN realisation measures 2n+3 = %zu exponentiations\n",
               2 * n + 3);
-  std::printf("against the paper's 2n+4 accounting (see EXPERIMENTS.md).\n");
+  std::printf("against the paper's 2n+4 accounting (see README, Deviations from the paper).\n");
   return 0;
 }

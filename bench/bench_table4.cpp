@@ -115,6 +115,6 @@ int main() {
                 static_cast<unsigned long long>(meas.sign_ver), static_cast<int>((10 - 3 + 1) / 2 + 10 - 6));
   }
   std::printf("\nnote: our join measures 4 protocol messages against the paper's "
-              "count of 5 (see EXPERIMENTS.md).\n");
+              "count of 5 (see README, Deviations from the paper).\n");
   return 0;
 }

@@ -72,7 +72,7 @@ int main() {
 
   std::printf("\nHeadline reproduced: the proposed dynamic protocols cost 1-2 orders of\n");
   std::printf("magnitude less energy than re-executing authenticated BD.\n");
-  std::printf("Known deltas vs the paper (documented in EXPERIMENTS.md): our Join U1\n");
+  std::printf("Known deltas vs the paper (README, Deviations from the paper): our Join U1\n");
   std::printf("additionally publishes its refreshed z1' (one extra mod-exp, ~9.1 mJ),\n");
   std::printf("and passive members are charged every broadcast they hear.\n");
   return 0;

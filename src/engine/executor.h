@@ -1,43 +1,31 @@
 // Event-driven protocol engine: many concurrent ProtocolRuns, one virtual
 // clock, one event queue.
 //
-// The Executor multiplexes any number of resumable protocol executions
-// (ProtocolRun) over one discrete-event sim::Scheduler whose events run on
-// the host thread (the thread that calls drain()). Run wake-ups are
-// ordinary scheduler events, so the engine inherits the scheduler's
-// determinism guarantee — equal-timestamp events fire in insertion (FIFO)
-// order — and a whole multi-group simulation stays a pure function of its
-// seeds.
+// The Executor multiplexes any number of ProtocolRun fibers over one
+// discrete-event sim::Scheduler whose events run on the host thread (the
+// one that calls drain()). Run wake-ups are ordinary scheduler events,
+// fired in (timestamp, insertion) order, so a whole multi-group simulation
+// is a pure function of its seeds.
 //
-// drain() is the engine's main loop, a sequence of virtual-time barriers:
+// drain() alternates two virtual-time barriers until every run finished:
+// resume every runnable run as one batch, then execute the events at the
+// earliest pending timestamp, which mark runs runnable again. A batch
+// enters its fibers through net::parallel_run, one index per run, so the
+// pool's workers claim runs dynamically and a parked fiber hands its
+// worker back; a batch of one, and every batch under IDGKA_THREADS=1, runs
+// inline on the host in batch order. The process thus runs one threading
+// mechanism, the net pool, plus the host thread.
 //
-//   1. resume every currently-runnable run as one batch: the host hands the
-//      floor to all of them at once and waits until every one has parked
-//      or finished (IDGKA_THREADS=1 resumes them one at a time instead,
-//      without changing any result — CI exploits that to catch
-//      schedule-dependent nondeterminism);
-//   2. when no run is runnable, execute every event at the earliest
-//      pending timestamp (frame deposits, timer wakes) — these mark runs
-//      runnable;
-//   3. repeat until every run finished.
-//
-// Deterministic order under a parallel batch: events a run posts while it
-// has the floor (frame deposits, its own timer wakes) go into the run's
-// outbox; after the batch the host inserts the outboxes into the queue in
-// batch order. The queue thus sees the same insertion sequence as a
-// one-by-one resumption, so every engine metric (resumes, max batch,
-// per-run event order) is bit identical for every IDGKA_THREADS value.
-//
-// Parallel batch safety: a run body only touches its own group's state
-// (sessions, networks, link models), its own outbox, and the in-flight
-// counter of the run it posts for.
+// Events a run posts go into its outbox, which the host moves into the
+// queue after the batch, in batch order: the queue sees one insertion
+// sequence whichever worker ran which run, so every engine metric is
+// bit-identical for every IDGKA_THREADS value. Runs of a batch may execute
+// at once because a body touches only its own group's state, its own
+// outbox and the in-flight counter of the run it posts for.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <vector>
 
 #include "engine/protocol_run.h"
@@ -70,15 +58,14 @@ class Executor {
   void drain();
 
   /// Schedules `fn` at now + delay. Call only from the host thread or from
-  /// a run body on its own thread — never from a thread a run body spawned
-  /// or borrowed (the net:: pool). From a run the event goes into that
-  /// run's outbox and reaches the queue after the batch, in batch order;
-  /// from the host it is inserted directly. `owner` (may be null, may be
-  /// another run than the caller) attributes the event to a run for
-  /// frame-arrival resumption: it counts as one in-flight copy of that run
-  /// until executed. Templated so the deposit closure and the in-flight
-  /// accounting fold into one scheduler event (this sits on the per-copy
-  /// hot path).
+  /// a run body, never from member-level chunks a body handed to the net::
+  /// pool. From a run the event goes into that run's outbox and reaches
+  /// the queue after the batch, in batch order; from the host it is
+  /// inserted directly. `owner` (may be null, may be another run than the
+  /// caller) attributes the event to a run for frame-arrival resumption:
+  /// it counts as one in-flight copy of that run until executed. Templated
+  /// so the deposit closure and the in-flight accounting fold into one
+  /// scheduler event (this sits on the per-copy hot path).
   ///
   /// Straggler events may stay queued in the scheduler past the
   /// executor's death (the scheduler outlives it by contract); the
@@ -122,29 +109,15 @@ class Executor {
 
   /// Marks a run runnable (host thread). No-op when already queued/done.
   void make_runnable(ProtocolRun* run);
-  /// Queues a timer wake for `run` at `when` in its outbox (run thread):
-  /// counted in pending_wakes_ and guarded by the liveness token.
-  void schedule_wake(ProtocolRun* run, sim::SimTime when, std::uint64_t epoch);
-  /// Timer-event wake; ignores stale epochs (host thread, inside drain).
-  void wake_from_timer(ProtocolRun* run, std::uint64_t epoch);
   /// In-flight copy accounting (host thread, inside drain's event
   /// execution); may resume an arrival-sensitive await.
   void settle_in_flight(ProtocolRun* owner);
-  /// Hands the floor to every run in `runs` at once, blocks until all of
-  /// them have parked or finished, then moves their outboxes into the
-  /// queue in that order.
-  void resume(std::span<ProtocolRun* const> runs);
 
   sim::Scheduler& scheduler_;
 
-  /// Guards the floor handoff: every run's go_ flag, unfinished_ and
-  /// shutdown_ (written only by the host, so the host reads it unlocked).
-  std::mutex mutex_;
-  std::condition_variable host_cv_;  ///< signalled when a batch has parked
-  std::size_t unfinished_ = 0;  ///< runs of the current batch still running
-  bool shutdown_ = false;
-
   // --- Host thread only ---
+  /// Set by the destructor; a run resumed after it throws RunAborted.
+  bool shutdown_ = false;
   std::uint64_t next_id_ = 0;
   std::uint64_t resumes_ = 0;
   std::size_t max_batch_ = 0;

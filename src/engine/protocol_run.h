@@ -1,28 +1,29 @@
 // One resumable protocol execution.
 //
 // A ProtocolRun hosts a blocking protocol body (a membership operation, or
-// a whole per-group scenario script) on its own cooperative thread. The
-// body runs unmodified protocol code; whenever that code needs the medium
-// to deliver (a reliable round's await, a scenario sleeping until its next
-// trace event) the run *yields*: it parks its thread and hands control
-// back to the engine::Executor, which resumes it later on a virtual-time
-// timer event — or earlier, when the last in-flight frame copy the run
-// posted lands (frame-arrival resumption, opt-in per await).
+// a whole per-group scenario script) on its own stackful fiber: a ucontext
+// on an mmap'd stack of one fixed size with a PROT_NONE guard page, mapped
+// at submit and unmapped when the run is reaped. Whenever the body needs
+// the medium to deliver (a reliable round's await, a scenario sleeping
+// until its next trace event) the run *yields*: it parks, switching back
+// to the worker that resumed it, and the engine::Executor resumes it on a
+// virtual-time timer event — or earlier, when the last in-flight frame
+// copy the run posted lands (frame-arrival resumption, opt-in per await).
 //
-// Exactly one of {the executor's resume machinery, the run body} executes
-// at any time per run. The floor handoff is guarded by the executor's
-// mutex; runs of one same-instant batch execute concurrently, which is
-// safe because a run only ever touches its own sessions/networks, its own
-// outbox and the in-flight counter of the run it posts for.
+// A run may resume on another thread than the one it parked on, so no
+// thread-local reference may live across a yield, and no yield may happen
+// inside a catch handler (the C++ runtime keeps caught exceptions per
+// thread). What a body reads per thread travels with the run: the worker
+// sets current() and swaps the run's obs trace state in before switching
+// to the fiber, and undoes both after it switches back.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -39,24 +40,16 @@ struct RunAborted {};
 
 class ProtocolRun {
  public:
-  /// kReady: queued for (re)start; kRunning: body executing on the run
-  /// thread; kWaiting: parked until a timer/arrival event; kFinished: body
-  /// returned or threw.
-  enum class State { kReady, kRunning, kWaiting, kFinished };
   using Body = std::function<void(ProtocolRun&)>;
 
   ~ProtocolRun();
   ProtocolRun(const ProtocolRun&) = delete;
   ProtocolRun& operator=(const ProtocolRun&) = delete;
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-  [[nodiscard]] Executor& executor() { return exec_; }
+  // --- Callable only from the run body ---
 
-  // --- Callable only from the run body (on the run thread) ---
-
-  /// Current virtual time (lock-free read of the executor's clock, which
-  /// stands still while any run body executes).
+  /// Current virtual time (the executor's clock, which stands still while
+  /// any run body executes).
   [[nodiscard]] sim::SimTime now() const;
 
   /// Yields until virtual time `when`; no-op when `when` is not in the
@@ -70,54 +63,64 @@ class ProtocolRun {
   /// arrive and an incomplete round can retransmit immediately).
   void await_round(sim::SimTime timeout, bool resume_on_arrival);
 
-  /// The run executing on the calling thread; nullptr on the host thread.
-  /// Lets layers below the engine (the sim driver's network hooks) route a
-  /// blocking wait through the owning run without threading a handle down
-  /// the protocol call stack.
+  /// The run whose body is executing on the calling thread; nullptr
+  /// elsewhere (the host between batches, a pool thread running member
+  /// chunks). Lets layers below the engine (the sim driver's network
+  /// hooks) route a blocking wait through the owning run without threading
+  /// a handle down the protocol call stack.
   [[nodiscard]] static ProtocolRun* current();
 
  private:
   friend class Executor;
+  struct Fiber;
+  /// kReady: submitted, not yet started; kRunning: body executing;
+  /// kWaiting: parked until a timer/arrival event; kFinished: body
+  /// returned or threw.
+  enum class State { kReady, kRunning, kWaiting, kFinished };
+
   ProtocolRun(Executor& exec, std::uint64_t id, std::string name, Body body);
 
-  void thread_main();
-  /// Hands the floor back and parks the run thread until the executor
-  /// resumes it; throws RunAborted on shutdown.
-  void park();
+  /// The fiber's entry point: runs the body, then switches out for good.
+  static void fiber_main();
+  /// Worker side: enters the fiber; returns when it parks or finishes.
+  void switch_in();
+  /// Fiber side: switches back to the worker that resumed the fiber.
+  void switch_out();
+  /// Queues a timer wake at `when` (stale once the epoch moves on), parks
+  /// until resumed, and throws RunAborted on executor teardown.
+  void park(sim::SimTime when, bool arrival_sensitive);
 
   Executor& exec_;
-  const std::uint64_t id_;
-  const std::string name_;
   Body body_;
-  std::thread thread_;
+  std::unique_ptr<Fiber> fiber_;
+  /// The run's trace ring under its "<name>#<id>" track (ids follow
+  /// submission order, so the track is a pure function of the workload),
+  /// swapped onto the hosting worker while the body executes.
+  obs::TraceState trace_;
 
-  // --- Handoff, guarded by the executor's mutex
-  std::atomic<State> state_{State::kReady};
-  bool go_ = false;  ///< run thread may execute (handoff flag)
-  std::condition_variable cv_;  ///< run thread waits here for go_
-  // --- Touched only by whoever has the floor (the run while it executes,
-  // --- the host between batches); the handoff orders the two
+  // --- Touched only by whoever executes the run (its fiber, or the host
+  // --- between batches); the batch's fork-join orders the two
+  State state_ = State::kReady;
   bool queued_ = false;  ///< already in the executor's runnable queue
-  /// Events posted while the run had the floor, in posting order; the host
+  /// Events posted while the run executed, in posting order; the host
   /// moves them into the scheduler after the batch (see Executor::post).
   struct Posted {
     sim::SimTime when;
     std::function<void()> fn;
   };
   std::vector<Posted> outbox_;
-  /// Invalidates stale timer wakes: a timer event only resumes the run if
-  /// it still carries the epoch the await registered.
+  /// A timer event only resumes the run if it still carries the epoch its
+  /// await registered.
   std::uint64_t wake_epoch_ = 0;
-  /// Frame copies posted by this run still in flight (posted, not yet
-  /// executed by the scheduler). Atomic because another run may post on
-  /// this run's behalf from its own thread.
-  std::atomic<std::uint64_t> in_flight_{0};
   /// Timer wake events still queued in the scheduler (stale ones
   /// included); the run cannot be reaped while any remain.
-  std::atomic<std::uint64_t> pending_wakes_{0};
+  std::uint64_t pending_wakes_ = 0;
   /// The current await resumes early when in_flight_ drains to zero.
   bool arrival_sensitive_ = false;
   std::exception_ptr error_;
+  /// Frame copies posted for this run still in flight (posted, not yet
+  /// executed). Atomic: another run of the batch may post on its behalf.
+  std::atomic<std::uint64_t> in_flight_{0};
 #if IDGKA_OBS
   /// Per-run resume dimension (`engine.resumes{<run-name>}`), resolved
   /// once at submit so the resume hot path stays a relaxed atomic add.

@@ -190,7 +190,7 @@ RunResult run_join(const SystemParams& params, std::span<MemberCtx> members,
   const BigInt k_star = rekey_star(*params.ctx_p, old_key, z2, zn, params.grp.q - r1_old,
                                    z2, u1.z_map.at(joiner.cred.id), r1_new);
   u1.r = r1_new;
-  // Deviation (DESIGN.md): publish z1' so the ring stays consistent.
+  // Deviation (README, "Join publishes z1'"): keeps the ring consistent.
   u1.ledger.record(Op::kModExp);
   const BigInt z1_new = params.gpow(r1_new);
 

@@ -16,7 +16,7 @@
 //   Partition (2 rounds):  Leave generalized to a set of departures
 //     (Eqs. 12-13).
 //
-// Deviations from the paper, documented in DESIGN.md §5:
+// Deviations from the paper (README, "Deviations from the paper"):
 //  * U_1 additionally broadcasts z_1' = g^{r_1'} during Join (the paper
 //    refreshes r_1 without publishing the new z, which would leave the ring
 //    state inconsistent for subsequent events).
@@ -24,7 +24,7 @@
 //    metadata so joining/merged members can take part in later events.
 //  * Leave/Partition re-use the stored GQ commitment tau of even-indexed
 //    survivors exactly as the paper specifies; note that answering two
-//    different challenges with one tau leaks S_U (see DESIGN.md §8 —
+//    different challenges with one tau leaks S_U (README, "Tau reuse" —
 //    reproduced faithfully, flagged as a protocol weakness).
 #pragma once
 
@@ -48,7 +48,7 @@ namespace idgka::gka {
 /// z/t tables (only DRBGs and energy ledgers advance). Requires >= 3
 /// members (2 must remain).
 /// `refresh_all_commitments` is the countermeasure to the tau-reuse
-/// weakness (DESIGN.md §8): every survivor draws a fresh GQ commitment
+/// weakness (README, "Tau reuse"): every survivor draws a fresh GQ commitment
 /// instead of only the odd-indexed ones (costs |even| extra mod-exps).
 [[nodiscard]] RunResult run_leave(const SystemParams& params, std::span<MemberCtx> members,
                                   std::uint32_t leaver_id, net::Network& network,

@@ -20,7 +20,8 @@
 
 namespace idgka::gka {
 
-/// Optional protocol extensions (not in the 2006 paper; see DESIGN.md).
+/// Optional protocol extensions (not in the 2006 paper; see README,
+/// "Key confirmation is an extension").
 struct ProposedOptions {
   /// Adds a third round of explicit key confirmation: every member
   /// broadcasts HMAC_{K'}(U_i) and verifies the n-1 peer tags, upgrading

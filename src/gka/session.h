@@ -86,7 +86,7 @@ class GroupSession {
   using NetworkHook = std::function<void(net::Network&)>;
   void set_network_hook(NetworkHook hook);
 
-  /// Countermeasure policy for the tau-reuse weakness (DESIGN.md §8): when
+  /// Countermeasure policy for the tau-reuse weakness (README, "Tau reuse"): when
   /// enabled, Leave/Partition refresh every survivor's GQ commitment.
   void set_refresh_all_commitments(bool enabled) { refresh_all_commitments_ = enabled; }
   /// Extension: adds an explicit key-confirmation round to form() under

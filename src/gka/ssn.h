@@ -21,7 +21,7 @@
 // check holds iff the sender knows the PKG-extracted S_j; c_j binds the
 // authenticator to (z_j, X_j, Z). Per-member exponentiations: 5 + 2(n-1) =
 // 2n + 3, one below the paper's 2n + 4 accounting — recorded as-measured
-// and compared against the paper's formula in EXPERIMENTS.md.
+// and listed in README, "Deviations from the paper".
 #pragma once
 
 #include <span>

@@ -18,26 +18,6 @@ namespace idgka::obs {
 
 namespace detail {
 std::atomic<bool> g_trace_enabled{false};
-}  // namespace detail
-
-namespace {
-
-// ------------------------------------------------------------ clock source
-//
-// Two relaxed atomics, written fn-last on install and fn-first on clear.
-// The producers (run-body threads) and the installer (the host thread that
-// owns the scheduler) never race in practice: the sim installs the clock
-// before submitting any run and uninstalls after the final drain.
-
-std::atomic<ClockFn> g_clock_fn{nullptr};
-std::atomic<const void*> g_clock_ctx{nullptr};
-
-std::uint64_t steady_now_us() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count());
-}
 
 // -------------------------------------------------------------- ring store
 
@@ -61,6 +41,28 @@ struct Ring {
   std::vector<Event> slots;          ///< power-of-two capacity
   std::atomic<std::uint64_t> next{0};  ///< total events ever written
 };
+}  // namespace detail
+
+namespace {
+
+// ------------------------------------------------------------ clock source
+//
+// Two relaxed atomics, written fn-last on install and fn-first on clear.
+// The producers (run bodies, on any worker) and the installer (the host that
+// owns the scheduler) never race in practice: the sim installs the clock
+// before submitting any run and uninstalls after the final drain.
+
+std::atomic<ClockFn> g_clock_fn{nullptr};
+std::atomic<const void*> g_clock_ctx{nullptr};
+
+std::uint64_t steady_now_us() {
+  static const auto t0 = std::chrono::steady_clock::now();
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count());
+}
+
+using detail::Ring;
 
 /// Registered rings + generation. clear() bumps the generation, which
 /// invalidates every thread's cached ring pointer: the next emit lazily
@@ -78,17 +80,11 @@ Recorder& recorder() {
   return *r;
 }
 
-struct ThreadState {
-  std::shared_ptr<Ring> ring;
-  std::uint64_t generation = 0;
-  std::string track;  ///< pending name for the next ring registration
-};
-
-thread_local ThreadState t_state;
+thread_local TraceState t_state;
 
 Ring& thread_ring() {
   Recorder& rec = recorder();
-  ThreadState& st = t_state;
+  TraceState& st = t_state;
   if (!st.ring || st.generation != rec.generation) {
     const std::lock_guard<std::mutex> lock(rec.mu);
     std::string track = st.track.empty() ? std::string("thread") : st.track;
@@ -236,15 +232,9 @@ void emit(Phase phase, const char* name, const char* cat, std::uint64_t arg) {
   do_emit(phase, name, cat, arg, true);
 }
 
-void set_thread_track(std::string track) {
-  ThreadState& st = t_state;
-  st.track = std::move(track);
-  if (st.ring && st.generation == recorder().generation) {
-    // Ring already registered: rename it (single writer — this thread).
-    const std::lock_guard<std::mutex> lock(recorder().mu);
-    st.ring->track = st.track;
-  }
-}
+void set_thread_track(std::string track) { t_state = TraceState{{}, 0, std::move(track)}; }
+
+void swap_thread_state(TraceState& state) { std::swap(t_state, state); }
 
 void set_ring_capacity(std::size_t capacity) {
   std::size_t cap = 2;

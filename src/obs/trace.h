@@ -2,9 +2,9 @@
 //
 // Every instrumented layer emits timestamped events — RAII spans
 // (OBS_SPAN), instants (OBS_INSTANT) — into a fixed-capacity ring buffer
-// owned by the emitting thread. Writes are lock-free: each thread appends
-// to its own ring (a mutex is taken exactly once per thread, to register
-// the ring). When the ring wraps, the oldest events are overwritten —
+// owned by the emitting thread, or by the engine::ProtocolRun it hosts (see
+// TraceState). Writes are lock-free: each thread appends to its own ring (a
+// mutex is taken exactly once per ring, to register it). When the ring wraps, the oldest events are overwritten —
 // flight-recorder semantics: the recorder always holds the last N events
 // per thread, ready to be dumped on an uncaught exception / assertion
 // failure (install_crash_dump) or exported as Chrome trace-event JSON
@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "obs/registry.h"  // OBS_COUNT / OBS_RECORD resolve instruments
@@ -45,6 +46,7 @@ namespace idgka::obs {
 
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
+struct Ring;
 }  // namespace detail
 
 /// Single-branch runtime check every trace macro performs first.
@@ -100,11 +102,20 @@ struct Event {
 void emit(Phase phase, const char* name, const char* cat);
 void emit(Phase phase, const char* name, const char* cat, std::uint64_t arg);
 
-/// Names the calling thread's track in exports and dumps. Call before the
-/// thread's first event; the engine names each ProtocolRun thread
-/// "<run-name>#<run-id>" so track names — and therefore exports — are
-/// deterministic (thread registration order is not).
+/// Starts the calling thread on a fresh ring under `track` in exports and
+/// dumps, from its next event on. Track names — and therefore exports —
+/// are deterministic where thread registration order is not.
 void set_thread_track(std::string track);
+
+/// A ring and the track it exports under. Every thread has one; the engine
+/// swaps a ProtocolRun's onto whichever worker hosts the run.
+struct TraceState {
+  std::shared_ptr<detail::Ring> ring;
+  std::uint64_t generation = 0;  ///< recorder generation `ring` belongs to
+  std::string track;             ///< name for the next ring registration
+};
+/// Exchanges the calling thread's trace state with `state`.
+void swap_thread_state(TraceState& state);
 
 /// Ring capacity (events per thread) for rings created after the call.
 /// Must be a power of two >= 2; default 16384.
@@ -196,8 +207,6 @@ void install_crash_dump();
       ::idgka::obs::emit(::idgka::obs::Phase::kInstant, name, cat,  \
                          static_cast<std::uint64_t>(arg));          \
   } while (0)
-/// Names the calling thread's export track.
-#define OBS_SET_THREAD_TRACK(track) ::idgka::obs::set_thread_track(track)
 /// Bumps a process-wide registry counter; `name` must be a string
 /// literal (the instrument is resolved once per site).
 #define OBS_COUNT(name, n)                                                  \
@@ -233,9 +242,6 @@ void install_crash_dump();
   } while (0)
 #define OBS_INSTANT_ARG(name, cat, arg) \
   do {                                  \
-  } while (0)
-#define OBS_SET_THREAD_TRACK(track) \
-  do {                              \
   } while (0)
 #define OBS_COUNT(name, n) \
   do {                     \

@@ -105,8 +105,8 @@ OpOutcome ProtocolDriver::timed(const char* label,
   OpOutcome outcome;
   const auto body = [this, label, &op, &outcome](engine::ProtocolRun& run) {
 #if IDGKA_OBS
-    // Span begins/ends on the run thread while it has the floor, so the
-    // virtual timestamps bracket exactly [start_us, end_us].
+    // Span begins/ends while the run executes, on the run's own trace
+    // track, so the virtual timestamps bracket exactly [start_us, end_us].
     const obs::Span span(label, "sim");
 #else
     (void)label;

@@ -18,8 +18,8 @@ namespace {
 #if IDGKA_OBS
 /// Trace clock over the run's scheduler, so every event of a sim run
 /// carries virtual time and same-seed runs export byte-identical traces.
-/// Reads Scheduler::now(), a lock-free atomic load: run threads stamp their
-/// events with it while they have the floor, and the clock only advances
+/// Reads Scheduler::now(), a lock-free atomic load: run bodies stamp their
+/// events with it while they execute, and the clock only advances
 /// on the host thread while every run is parked, so each stamp is a pure
 /// function of the workload.
 std::uint64_t scheduler_clock(const void* ctx) {

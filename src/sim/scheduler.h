@@ -5,7 +5,7 @@
 // number breaks ties), so a whole simulation is a pure function of its
 // seeds — the determinism the scenario metrics tests rely on.
 //
-// Protocol execution is hosted on engine::ProtocolRun threads whose wake
+// Protocol execution is hosted on engine::ProtocolRun fibers whose wake
 // timers are ordinary events in this queue; the engine relies on the FIFO
 // tie-break for determinism (pinned by the Scheduler regression tests).
 // Event callbacks must never re-enter the protocol layer — in this
@@ -14,8 +14,8 @@
 //
 // Threading: only the host thread (the one driving the engine) mutates the
 // queue; run bodies hand their posts to the engine, which inserts them
-// between batches. The clock stays atomic because run threads and trace
-// clocks read now() from threads other than the host.
+// between batches. The clock stays atomic because run bodies and trace
+// clocks read now() on the net pool's workers as well as on the host.
 #pragma once
 
 #include <atomic>

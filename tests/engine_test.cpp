@@ -1,17 +1,25 @@
 // Event-driven protocol engine tests: Executor run multiplexing (timer +
 // frame-arrival resumption, deterministic event order under parallel
-// batches), the engine-hosted driver, and the multi-group scenario runner
-// (M concurrent clusters on one clock).
+// batches), runs as fibers (no thread per run, teardown unwinding, trace
+// tracks that follow a run across workers), the engine-hosted driver, and
+// the multi-group scenario runner (M concurrent clusters on one clock).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <fstream>
+#include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/executor.h"
 #include "gka/session.h"
+#include "net/parallel.h"
+#include "obs/json_reader.h"
+#include "obs/trace.h"
 #include "sim/driver.h"
 #include "sim/scenario.h"
 
@@ -176,13 +184,141 @@ TEST(Executor, PostOnBehalfOfAnotherRunWakesIt) {
 }
 
 TEST(Executor, RunBodyExceptionPropagatesFromDrain) {
+  // A body may throw before its first yield, or after a resume, when its
+  // fiber may be hosted by another worker than the one that started it.
+  const std::vector<ProtocolRun::Body> throwers{
+      [](ProtocolRun&) { throw std::domain_error("boom"); },
+      [](ProtocolRun& run) {
+        run.sleep_until(5);
+        throw std::domain_error("boom");
+      }};
+  for (const ProtocolRun::Body& thrower : throwers) {
+    sim::Scheduler scheduler;
+    Executor executor(scheduler);
+    executor.submit("ok", [](ProtocolRun& run) { run.sleep_until(10); });
+    executor.submit("boom", thrower);
+    EXPECT_THROW(executor.drain(), std::domain_error);
+    // The sibling run still settled before the rethrow.
+    EXPECT_EQ(scheduler.now(), 10U);
+  }
+}
+
+// ------------------------------------------------------------ Runs as fibers
+
+/// The process's OS thread count, from /proc/self/status.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr std::size_t kRuntimeThreads = 1;  // TSan's background thread
+#else
+constexpr std::size_t kRuntimeThreads = 0;
+#endif
+
+TEST(Executor, ThreadCountStaysAtPoolPlusHost) {
+  // A run is a fiber, not a thread: 4 096 parked runs leave the process
+  // with the net pool plus the host, net::worker_count() threads in all.
+  constexpr std::size_t kRuns = 4096;
   sim::Scheduler scheduler;
   Executor executor(scheduler);
-  executor.submit("ok", [](ProtocolRun& run) { run.sleep_until(10); });
-  executor.submit("boom", [](ProtocolRun&) { throw std::domain_error("boom"); });
-  EXPECT_THROW(executor.drain(), std::domain_error);
-  // The sibling run still settled before the rethrow.
-  EXPECT_EQ(scheduler.now(), 10U);
+  std::atomic<std::size_t> max_threads{0};
+  const auto sample = [&max_threads] {
+    const std::size_t now = process_threads();
+    std::size_t seen = max_threads.load();
+    while (now > seen && !max_threads.compare_exchange_weak(seen, now)) {
+    }
+  };
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    executor.submit("many", [&sample, i](ProtocolRun& run) {
+      if (i % 64 == 0) sample();
+      run.sleep_until(1 + i % 8);
+      if (i % 64 == 0) sample();
+    });
+  }
+  sample();  // every run submitted, none started
+  executor.drain();
+  sample();
+  EXPECT_EQ(executor.run_count(), kRuns);
+  EXPECT_EQ(executor.resumes(), 2 * kRuns);
+  EXPECT_GT(max_threads.load(), 0U);
+  EXPECT_LE(max_threads.load(), net::worker_count() + kRuntimeThreads);
+}
+
+TEST(Executor, TeardownUnwindsParkedBodies) {
+  // Destroying an executor with parked runs resumes each one with
+  // RunAborted, which unwinds its body (destructors run) before the stack
+  // is unmapped.
+  struct Guard {
+    int& count;
+    ~Guard() { ++count; }
+  };
+  constexpr int kRuns = 8;
+  int unwound = 0;  // bumped on the host: teardown resumes runs there
+  sim::Scheduler scheduler;
+  {
+    Executor executor(scheduler);
+    for (int i = 0; i < kRuns; ++i) {
+      executor.submit("parked", [&unwound](ProtocolRun& run) {
+        const Guard guard{unwound};
+        run.sleep_until(1000);
+        ADD_FAILURE() << "body resumed past teardown";
+      });
+    }
+    // An event that throws out of drain() leaves every run parked.
+    executor.post(10, [] { throw std::runtime_error("stop"); }, nullptr);
+    EXPECT_THROW(executor.drain(), std::runtime_error);
+    EXPECT_EQ(unwound, 0);
+  }
+  EXPECT_EQ(unwound, kRuns);
+}
+
+TEST(Executor, SpanAcrossYieldStaysOnTheRunsTrack) {
+  // A span opened before a yield and closed after it begins and ends on
+  // the run's own "<name>#<id>" track, whichever worker resumed the run.
+  constexpr std::uint64_t kRuns = 16;
+  obs::clear();
+  obs::set_trace_enabled(true);
+  {
+    sim::Scheduler scheduler;
+    Executor executor(scheduler);
+    for (std::uint64_t i = 0; i < kRuns; ++i) {
+      executor.submit("span", [i](ProtocolRun& run) {
+        const obs::Span span("test.await", "test", i);
+        run.sleep_until(100 + 10 * (i % 4));
+      });
+    }
+    executor.drain();
+  }
+  obs::set_trace_enabled(false);
+  const obs::json::JsonValue trace = obs::json::parse(obs::export_chrome_trace());
+  obs::clear();
+
+  std::map<std::uint64_t, std::string> tracks;  // tid -> track name
+  for (const obs::json::JsonValue& e : trace.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "M") {
+      tracks[e.at("tid").as_uint()] = e.at("args").at("name").as_string();
+    }
+  }
+  std::map<std::string, std::string> phases;   // track -> its span's phases
+  std::map<std::string, std::uint64_t> opened;  // track -> the begin's arg
+  for (const obs::json::JsonValue& e : trace.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() != "test.await") continue;
+    const std::string& track = tracks.at(e.at("tid").as_uint());
+    phases[track] += e.at("ph").as_string();
+    if (e.has("args")) opened[track] = e.at("args").at("v").as_uint();
+  }
+  EXPECT_EQ(phases.size(), kRuns);
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    const std::string track = "span#" + std::to_string(i);
+    EXPECT_EQ(phases[track], "BE") << track;
+    EXPECT_EQ(opened[track], i) << track;
+  }
 }
 
 // --------------------------------------------- Engine-hosted timed driver

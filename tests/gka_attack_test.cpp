@@ -1,6 +1,6 @@
 // Adversarial tests: active tampering against the protocols, and a full
 // reproduction of the tau-reuse weakness in the paper's Leave/Partition
-// design (DESIGN.md §8).
+// design (README, "Tau reuse").
 //
 // The tau-reuse attack: even-indexed survivors answer the fresh batch
 // challenge c-bar with their *stored* commitment tau (the paper's Round 2:

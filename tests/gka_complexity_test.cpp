@@ -70,7 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(InitialCounts, MatchPaperTable1Shape) {
   // Our implementation's op counts match the paper's Table 1 entries
-  // (except SSN: we measure 2n+3 vs the paper's 2n+4; see EXPERIMENTS.md).
+  // (except SSN: we measure 2n+3 vs the paper's 2n+4; see README,
+  // "Deviations from the paper").
   const std::size_t n = 10;
   using energy::Op;
 
