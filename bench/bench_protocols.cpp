@@ -9,6 +9,7 @@
 
 #include "gka/ing.h"
 #include "gka/session.h"
+#include "sim/driver.h"
 
 using namespace idgka;
 
@@ -39,11 +40,17 @@ void BM_Form(benchmark::State& state, gka::Scheme scheme) {
 
 void BM_FormUnderLoss(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  // Independent 10% loss per copy on the driver's link.
+  sim::DriverConfig lossy;
+  lossy.link.loss_good = 0.1;
+  lossy.link.loss_bad = 0.1;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    gka::GroupSession session(authority(), gka::Scheme::kProposed, make_ids(n, 5100),
-                              seed++, /*loss_rate=*/0.1);
-    if (!session.form().success) state.SkipWithError("protocol failed");
+    gka::GroupSession session(authority(), gka::Scheme::kProposed, make_ids(n, 5100), seed);
+    sim::Scheduler scheduler;
+    sim::ProtocolDriver driver(scheduler, lossy, seed++);
+    driver.attach(session);
+    if (!driver.form().success) state.SkipWithError("protocol failed");
   }
 }
 

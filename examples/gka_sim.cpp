@@ -14,6 +14,9 @@
 //   leave:ID              one member leaves
 //   part:ID1,ID2,...      several members leave at once
 //
+// The group runs on a sim::ProtocolDriver; --loss RATE in [0, 1) is the
+// independent per-copy loss probability of its link.
+//
 // Example:
 //   gka_sim --scheme proposed form:1,2,3,4,5 join:6 leave:2 part:3,4
 #include <cstdio>
@@ -22,6 +25,7 @@
 
 #include "energy/profiles.h"
 #include "gka/session.h"
+#include "sim/driver.h"
 
 using namespace idgka;
 
@@ -81,6 +85,7 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       loss = std::stod(v);
+      if (loss < 0.0 || loss >= 1.0) return usage();
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -102,26 +107,33 @@ int main(int argc, char** argv) {
               profile == gka::SecurityProfile::kPaper ? "paper(1024)" : "test(256)", loss,
               radio->name.c_str());
   gka::Authority authority(profile, seed);
+  sim::DriverConfig channel;
+  channel.link.loss_good = loss;
+  channel.link.loss_bad = loss;
+  sim::Scheduler scheduler;
   std::unique_ptr<gka::GroupSession> session;
+  std::unique_ptr<sim::ProtocolDriver> driver;  // destroyed before the session
 
   for (const std::string& event : events) {
     const std::size_t colon = event.find(':');
     const std::string kind = event.substr(0, colon);
     const std::string args = colon == std::string::npos ? "" : event.substr(colon + 1);
-    gka::RunResult result;
+    sim::OpOutcome result;
     if (kind == "form") {
-      session = std::make_unique<gka::GroupSession>(authority, scheme, parse_ids(args),
-                                                    seed, loss);
-      result = session->form();
+      driver.reset();
+      session = std::make_unique<gka::GroupSession>(authority, scheme, parse_ids(args), seed);
+      driver = std::make_unique<sim::ProtocolDriver>(scheduler, channel, seed);
+      driver->attach(*session);
+      result = driver->form();
     } else if (session == nullptr) {
       std::fprintf(stderr, "error: first event must be form:...\n");
       return 2;
     } else if (kind == "join") {
-      result = session->join(parse_ids(args).at(0));
+      result = driver->join(parse_ids(args).at(0));
     } else if (kind == "leave") {
-      result = session->leave(parse_ids(args).at(0));
+      result = driver->leave(parse_ids(args).at(0));
     } else if (kind == "part") {
-      result = session->partition(parse_ids(args));
+      result = driver->partition(parse_ids(args));
     } else {
       std::fprintf(stderr, "error: unknown event '%s'\n", kind.c_str());
       return 2;

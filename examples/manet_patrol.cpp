@@ -5,13 +5,17 @@
 // around an obstacle and the halves re-merge. The example traces every
 // membership event, verifies key freshness and prints the cumulative
 // energy budget per node — comparing the proposed dynamic protocols
-// against what BD re-execution (the baseline) would have cost.
+// against what BD re-execution (the baseline) would have cost. The patrol
+// runs on a sim::ProtocolDriver whose radio link loses copies; the merge
+// with the second squad is a direct session call on the same network, so
+// it crosses the same lossy link.
 #include <cstdio>
 #include <numeric>
 
 #include "energy/profiles.h"
 #include "gka/complexity.h"
 #include "gka/session.h"
+#include "sim/driver.h"
 
 using namespace idgka;
 
@@ -32,24 +36,30 @@ void report(const gka::GroupSession& session, const char* event) {
 int main() {
   gka::Authority authority(gka::SecurityProfile::kTest, 7);
 
-  // A patrol of 8 units on a lossy radio channel (5% frame loss — the
-  // protocols retransmit transparently, and the ledger pays for it).
+  // A patrol of 8 units on a lossy radio channel (5% independent frame
+  // loss — the protocols retransmit transparently, and the ledger pays for
+  // it).
   std::vector<std::uint32_t> unit_ids(8);
   std::iota(unit_ids.begin(), unit_ids.end(), 101U);
-  gka::GroupSession patrol(authority, gka::Scheme::kProposed, unit_ids, /*seed=*/99,
-                           /*loss_rate=*/0.05);
+  gka::GroupSession patrol(authority, gka::Scheme::kProposed, unit_ids, /*seed=*/99);
+  sim::DriverConfig radio;
+  radio.link.loss_good = 0.05;
+  radio.link.loss_bad = 0.05;
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, radio, /*seed=*/99);
+  driver.attach(patrol);
 
-  if (!patrol.form().success) return 1;
+  if (!driver.form().success) return 1;
   report(patrol, "patrol formed");
 
   // Reinforcements arrive one by one.
   for (const std::uint32_t unit : {201U, 202U}) {
-    if (!patrol.join(unit).success) return 1;
+    if (!driver.join(unit).success) return 1;
     report(patrol, "reinforcement joined");
   }
 
   // A unit's battery dies; it must lose access to future traffic.
-  if (!patrol.leave(103).success) return 1;
+  if (!driver.leave(103).success) return 1;
   report(patrol, "unit 103 dropped");
 
   // The patrol meets a second squad and merges networks.
@@ -62,7 +72,7 @@ int main() {
 
   // The formation splits: a detachment of three peels off (network
   // partition). The remaining group re-keys without them.
-  if (!patrol.partition({301, 302, 303}).success) return 1;
+  if (!driver.partition({301, 302, 303}).success) return 1;
   report(patrol, "detachment partitioned away");
 
   // ------------------------------------------------------------------
@@ -73,8 +83,8 @@ int main() {
     total += mj;
     std::printf("  node %3u: %8.2f mJ\n", id, mj);
   }
-  std::printf("  group total: %.2f mJ, retransmission-capable under %.0f%% loss\n", total,
-              5.0);
+  std::printf("  group total: %.2f mJ; the link lost %llu of its copies at %.0f%% loss\n",
+              total, static_cast<unsigned long long>(driver.copies_dropped()), 5.0);
 
   // What would the same trace have cost with BD re-execution? (Paper's
   // baseline: every event re-runs authenticated BD+ECDSA at the new size.)

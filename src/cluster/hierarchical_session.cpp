@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "gka/exchange.h"
 #include "obs/trace.h"
 #include "symc/kdf.h"
 #include "symc/sealed_box.h"
@@ -13,8 +14,6 @@
 namespace idgka::cluster {
 
 namespace {
-
-constexpr int kMaxRekeyRetransmits = 16;
 
 std::uint64_t sealed_blocks(std::size_t bytes) { return bytes / symc::Aes128::kBlockSize; }
 
@@ -502,11 +501,10 @@ void HierarchicalSession::rekey_and_distribute() {
     for (const std::uint32_t id : ids) {
       if (id != head && !receive(id)) missing.push_back(id);
     }
-    // Lossy leaf networks may drop the broadcast copy; the head unicasts to
-    // the stragglers until everyone holds the epoch key. A timed driver's
-    // retry cap overrides the built-in bound (see effective_retry_cap).
-    const int retries = network.effective_retry_cap(kMaxRekeyRetransmits);
-    for (int attempt = 0; attempt < retries && !missing.empty(); ++attempt) {
+    // Lossy leaf links may drop the broadcast copy; the head unicasts to
+    // the stragglers until everyone holds the epoch key.
+    for (int attempt = 0; attempt < gka::kMaxRetransmitAttempts && !missing.empty();
+         ++attempt) {
       OBS_COUNT("cluster.rekey_retries", 1);
 #if IDGKA_OBS
       if (labeled_rekey_retries_ != nullptr) labeled_rekey_retries_->add(1);

@@ -8,8 +8,7 @@
 namespace idgka::gka {
 
 RoundResult exchange_round(net::Network& network, const std::vector<RoundSend>& sends,
-                           const std::vector<std::uint32_t>& receivers, int max_retries) {
-  const int retries = network.effective_retry_cap(max_retries);
+                           const std::vector<std::uint32_t>& receivers) {
   // Collection policy: a timed medium can deliver a straggler duplicate
   // from an earlier round during this round's drain window; collecting an
   // off-label message would feed the wrong payload schema into the
@@ -77,7 +76,7 @@ RoundResult exchange_round(net::Network& network, const std::vector<RoundSend>& 
       result.complete = true;
       break;
     }
-    if (attempt > retries) break;  // incomplete after the cap
+    if (attempt > kMaxRetransmitAttempts) break;  // incomplete after the budget
     OBS_INSTANT_ARG("round.retransmit", "gka", attempt);
   }
   return result;

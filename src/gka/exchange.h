@@ -1,4 +1,4 @@
-// Reliable round exchange over the lossy broadcast network.
+// Reliable round exchange over the broadcast network.
 //
 // The paper's protocols assume every member eventually holds every round
 // message ("if equation (2) is incorrect, then all members will retransmit
@@ -6,7 +6,8 @@
 // every send still missing at some receiver, Network::await_delivery(),
 // drain every receiver's inbox, and check. Senders whose message failed to
 // reach some receiver rebroadcast (the radio cost of every attempt is
-// accounted) until all inboxes are complete or the retry cap is hit.
+// accounted) until all inboxes are complete or kMaxRetransmitAttempts is
+// spent.
 //
 // await_delivery() is the round's only wait. A lockstep network delivers
 // at transmit time, so it does nothing; under a timed driver it advances
@@ -22,6 +23,11 @@
 #include "net/network.h"
 
 namespace idgka::gka {
+
+/// Retransmission budget of every reliable loop (exchange_round and the
+/// cluster rekey distribution): attempts after the first before the round
+/// is given up as incomplete.
+inline constexpr int kMaxRetransmitAttempts = 32;
 
 /// One sender's contribution to a round.
 struct RoundSend {
@@ -44,15 +50,8 @@ struct RoundResult {
 /// `sends` order, awaits delivery once and drains `receivers` in order,
 /// keeping the first copy of each (sender, receiver) pair that carries its
 /// sender's round label.
-///
-/// Retry-cap precedence (resolved once, via Network::effective_retry_cap):
-/// a driver-installed Network::retry_cap() ALWAYS overrides the `max_retries`
-/// argument; `max_retries` is only the default for networks no driver has
-/// bounded. Every reliable loop in the codebase (this one and the cluster
-/// rekey distribution) resolves its budget the same way.
 [[nodiscard]] RoundResult exchange_round(net::Network& network,
                                          const std::vector<RoundSend>& sends,
-                                         const std::vector<std::uint32_t>& receivers,
-                                         int max_retries = 64);
+                                         const std::vector<std::uint32_t>& receivers);
 
 }  // namespace idgka::gka

@@ -27,13 +27,11 @@ const char* scheme_name(Scheme scheme) {
 }
 
 GroupSession::GroupSession(Authority& authority, Scheme scheme,
-                           std::vector<std::uint32_t> ids, std::uint64_t seed,
-                           double loss_rate)
+                           std::vector<std::uint32_t> ids, std::uint64_t seed)
     : authority_(&authority),
       scheme_(scheme),
       seed_(seed),
-      loss_rate_(loss_rate),
-      network_(std::make_unique<net::Network>(loss_rate, seed)) {
+      network_(std::make_unique<net::Network>()) {
   if (ids.size() < 2) throw std::invalid_argument("GroupSession: need at least 2 members");
   members_.reserve(ids.size());
   for (const std::uint32_t id : ids) {
@@ -221,7 +219,7 @@ void GroupSession::set_network_hook(NetworkHook hook) {
 GroupSession GroupSession::split(const std::vector<std::uint32_t>& moved_ids,
                                  std::uint64_t seed) {
   if (moved_ids.size() < 2) throw std::invalid_argument("split: need >= 2 moved members");
-  GroupSession offshoot(*authority_, scheme_, moved_ids, seed, loss_rate_);
+  GroupSession offshoot(*authority_, scheme_, moved_ids, seed);
   if (network_hook_) offshoot.set_network_hook(network_hook_);
   if (!partition(moved_ids).success) {
     throw std::runtime_error("split: survivor rekey failed");

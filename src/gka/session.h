@@ -27,7 +27,7 @@ class GroupSession {
   /// Creates a session over `ids` (becomes the ring order). Members are
   /// enrolled with `authority` for `scheme` only. Deterministic under `seed`.
   GroupSession(Authority& authority, Scheme scheme, std::vector<std::uint32_t> ids,
-               std::uint64_t seed, double loss_rate = 0.0);
+               std::uint64_t seed);
 
   /// Sessions are move-only (the network and member DRBGs are unique).
   /// Both move operations are defined and leave the moved-from session
@@ -57,7 +57,6 @@ class GroupSession {
   GroupSession split(const std::vector<std::uint32_t>& moved_ids, std::uint64_t seed);
 
   [[nodiscard]] Scheme scheme() const { return scheme_; }
-  [[nodiscard]] double loss_rate() const { return loss_rate_; }
   [[nodiscard]] const BigInt& key() const;
   [[nodiscard]] std::vector<std::uint32_t> member_ids() const;
   [[nodiscard]] std::size_t size() const { return members_.size(); }
@@ -72,7 +71,8 @@ class GroupSession {
   /// cluster-layer broadcasts on this session's network) into the member
   /// ledgers and re-snapshots the counters.
   void sync_traffic() { absorb_traffic(); }
-  /// Zeroes all ledgers and network counters (e.g. between experiments).
+  /// Zeroes all ledgers (e.g. between experiments); the network's
+  /// cumulative counters are re-snapshotted, so only later traffic counts.
   void reset_ledgers();
 
   [[nodiscard]] const net::Network& network() const { return *network_; }
@@ -106,7 +106,6 @@ class GroupSession {
   Authority* authority_;  ///< never null; pointer (not reference) so moves rebind
   Scheme scheme_;
   std::uint64_t seed_;
-  double loss_rate_;
   std::unique_ptr<net::Network> network_;
   std::vector<MemberCtx> members_;  // ring order
   std::map<std::uint32_t, net::TrafficStats> traffic_snapshot_;

@@ -7,13 +7,6 @@
 
 namespace idgka::net {
 
-Network::Network(double loss_rate, std::uint64_t seed)
-    : loss_rate_(loss_rate), rng_(seed ^ 0x6e6574776f726bULL) {
-  if (loss_rate < 0.0 || loss_rate >= 1.0) {
-    throw std::invalid_argument("Network: loss_rate must be in [0, 1)");
-  }
-}
-
 void Network::add_node(std::uint32_t id) {
   inboxes_.try_emplace(id);
   stats_.try_emplace(id);
@@ -66,14 +59,8 @@ void Network::enqueue(std::vector<wire::Frame>& inbox, const wire::Frame& frame,
 }
 
 void Network::deliver(const wire::Frame& frame, std::uint32_t to) {
-  // Unknown recipients are rejected before the loss draw so the error is
-  // raised consistently, not only on the (1 - loss_rate) paths.
   auto it = inboxes_.find(to);
   if (it == inboxes_.end()) throw std::invalid_argument("Network: unknown recipient");
-  if (loss_rate_ > 0.0 && rng_.next_double() < loss_rate_) {
-    record_drop(frame, to);
-    return;
-  }
   enqueue(it->second, frame, to);
 }
 
@@ -184,12 +171,6 @@ TrafficStats Network::total_stats() const {
     total.corrupted_frames += st.corrupted_frames;
   }
   return total;
-}
-
-void Network::reset_stats() {
-  for (auto& [id, st] : stats_) st = TrafficStats{};
-  dropped_ = 0;
-  corrupted_ = 0;
 }
 
 }  // namespace idgka::net

@@ -4,8 +4,9 @@
 // received by every other registered group member, and the per-node radio
 // spends transmit energy once per message and receive energy once per
 // received message. The simulator is round-based (protocols drain inboxes
-// between rounds), counts bits per node for the energy model, and can
-// inject message loss to exercise the protocols' retransmission paths.
+// between rounds) and counts bits per node for the energy model. On its
+// own the medium is lossless: every lost copy comes from a Transport (the
+// sim layer's link model) and is accounted through record_drop().
 //
 // What moves through the medium is *bytes*, not typed objects: broadcast()
 // serializes the message exactly once through the canonical codec
@@ -19,20 +20,19 @@
 // copy, a sniffer sees every transmitted frame; either decodes with the
 // public codec when it needs fields.
 //
-// The discrete-event layer (src/sim) turns the same network into a timed
-// medium without touching protocol code: a Transport hook intercepts every
-// (frame, receiver) copy and later re-injects it via deposit(), a
-// RoundBarrier hook advances the virtual clock between a round's transmit
-// and drain phases, and a DropObserver accounts every lost copy.
+// The discrete-event layer (src/sim) turns the same network into a timed,
+// lossy medium without touching protocol code: a Transport hook prices
+// every (frame, receiver) copy through a link model and later re-injects
+// it via deposit() or accounts it via record_drop(), a RoundBarrier hook
+// advances the virtual clock between a round's transmit and drain phases,
+// and a DropObserver sees every lost copy.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
-#include "mpint/random.h"
 #include "net/message.h"
 #include "wire/codec.h"
 
@@ -48,23 +48,18 @@ struct TrafficStats {
   std::uint64_t rx_bits = 0;
   std::uint64_t tx_encoded_bits = 0;
   std::uint64_t rx_encoded_bits = 0;
-  /// Copies addressed to this node that were lost (loss injection, a link
-  /// model's record_drop, or arrival after the node departed).
+  /// Copies addressed to this node that were lost (a Transport's
+  /// record_drop, or arrival after the node departed).
   std::uint64_t dropped_messages = 0;
   /// Received frames (rx charged) that failed the strict decode — bit
   /// flips or truncation by a byte-level adversary.
   std::uint64_t corrupted_frames = 0;
 };
 
-/// Broadcast network with per-node frame inboxes and optional loss
-/// injection.
+/// Lossless broadcast network with per-node frame inboxes; loss enters
+/// only through an installed Transport.
 class Network {
  public:
-  /// `loss_rate` in [0, 1): probability that any (frame, receiver) copy is
-  /// dropped. Loss is deterministic under `seed`. When a Transport is
-  /// installed it supersedes the uniform loss model (deposit() never draws).
-  explicit Network(double loss_rate = 0.0, std::uint64_t seed = 0);
-
   /// Registers a node; must be called before it can send or receive.
   void add_node(std::uint32_t id);
   /// Deregisters a node, discarding its pending inbox and traffic counters
@@ -79,10 +74,10 @@ class Network {
   /// the current group or subgroup). The message is encoded once; every
   /// receiver shares the same frame buffer. Self-delivery never happens: a
   /// sender that appears in `group` is skipped and is charged tx exactly
-  /// once, rx never. An unknown receiver in `group` always throws
-  /// std::invalid_argument, independent of loss injection; with a Transport
-  /// installed the copy is handed off instead and a receiver that departs
-  /// while it is in flight is recorded as a drop at arrival time.
+  /// once, rx never. Without a Transport an unknown receiver in `group`
+  /// throws std::invalid_argument; with one installed the copy is handed
+  /// off instead and a receiver that departs while it is in flight is
+  /// recorded as a drop at arrival time.
   void broadcast(const Message& msg, const std::vector<std::uint32_t>& group);
 
   /// Point-to-point transmission (e.g. Join Round 3 Un -> Un+1).
@@ -99,13 +94,10 @@ class Network {
 
   [[nodiscard]] const TrafficStats& stats(std::uint32_t node) const;
   [[nodiscard]] TrafficStats total_stats() const;
-  /// Total lost copies so far (loss injection + record_drop + arrivals at
-  /// departed nodes).
+  /// Total lost copies so far (record_drop + arrivals at departed nodes).
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Total received frames discarded by the strict decoder.
   [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
-
-  void reset_stats();
 
   // --- Adversarial/debug hooks (byte level, the level the radio works at) ---
 
@@ -134,15 +126,14 @@ class Network {
   void set_transport(Transport transport) { transport_ = std::move(transport); }
 
   /// Injects a copy that arrives "now" on the timed path: charges rx, runs
-  /// the tamper hook and enqueues. No loss draw (the transport already
-  /// decided). A receiver that departed while the copy was in flight is
-  /// recorded as a drop instead of throwing.
+  /// the tamper hook and enqueues. A receiver that departed while the copy
+  /// was in flight is recorded as a drop instead of throwing.
   void deposit(const wire::Frame& frame, std::uint32_t to);
 
   /// Accounts one lost (frame, receiver) copy: bumps the global counter,
   /// the receiver's `dropped_messages` (when still registered) and notifies
-  /// the drop observer. The sim layer calls this for link-model losses so
-  /// drop accounting lives in one place.
+  /// the drop observer. The sim layer calls this for every link-model loss
+  /// so drop accounting lives in one place.
   void record_drop(const wire::Frame& frame, std::uint32_t to);
 
   /// Observer of every lost copy (frame, intended receiver).
@@ -161,26 +152,11 @@ class Network {
     if (round_barrier_) round_barrier_();
   }
 
-  /// Overrides the retransmission cap reliable-round loops were called
-  /// with (bounded retransmission under a timed driver).
-  void set_retry_cap(int cap) { retry_cap_ = cap; }
-  [[nodiscard]] std::optional<int> retry_cap() const { return retry_cap_; }
-  /// Single source of truth for retry-cap precedence: a driver-installed
-  /// set_retry_cap() ALWAYS wins over a reliable loop's call-site default
-  /// `fallback`. Every reliable loop (gka::exchange_round, the cluster
-  /// rekey distribution) resolves its retransmission budget through here —
-  /// never by reading retry_cap() and improvising its own precedence.
-  [[nodiscard]] int effective_retry_cap(int fallback) const {
-    return retry_cap_.value_or(fallback);
-  }
-
  private:
   wire::Frame encode_and_charge(const Message& msg);
   void deliver(const wire::Frame& frame, std::uint32_t to);
   void enqueue(std::vector<wire::Frame>& inbox, const wire::Frame& frame, std::uint32_t to);
 
-  double loss_rate_;
-  mpint::XoshiroRng rng_;
   std::map<std::uint32_t, std::vector<wire::Frame>> inboxes_;
   std::map<std::uint32_t, TrafficStats> stats_;
   std::uint64_t dropped_ = 0;
@@ -190,7 +166,6 @@ class Network {
   Transport transport_;
   DropObserver drop_observer_;
   RoundBarrier round_barrier_;
-  std::optional<int> retry_cap_;
 };
 
 }  // namespace idgka::net

@@ -14,7 +14,6 @@ void validate(const DriverConfig& cfg) {
   if (cfg.round_timeout_us == 0) {
     throw std::invalid_argument("ProtocolDriver: round_timeout_us must be > 0");
   }
-  if (cfg.retry_cap < 0) throw std::invalid_argument("ProtocolDriver: retry_cap < 0");
 }
 
 }  // namespace
@@ -69,7 +68,6 @@ void ProtocolDriver::install(net::Network& network) {
       sched.run_until(sched.now() + cfg_.round_timeout_us);
     }
   });
-  network.set_retry_cap(cfg_.retry_cap);
   network.set_frame_sniffer([this](const wire::Frame& frame) {
     ++frames_;
     bits_ += frame.accounted_bits();

@@ -8,11 +8,13 @@
 //   * a Transport that prices each (message, receiver) copy through the
 //     LinkModel and posts its arrival through the engine::Executor (the
 //     event is attributed to the posting ProtocolRun for frame-arrival
-//     resumption) — or records the drop;
+//     resumption) — or records the drop. The network itself is lossless,
+//     so this link is where every lost copy comes from;
 //   * a RoundBarrier that yields the hosting ProtocolRun for one round
 //     timeout between a reliable round's transmit and drain phases, so the
-//     protocols run against timeouts and bounded retransmission while other
-//     groups' runs interleave on the same clock;
+//     protocols run against timeouts and their fixed retransmission budget
+//     (gka::kMaxRetransmitAttempts) while other groups' runs interleave on
+//     the same clock;
 //   * sniffer/drop observers that accumulate bits-on-air and lost copies
 //     across the whole run, surviving internal network teardown.
 //
@@ -51,11 +53,6 @@ struct DriverConfig {
   /// copy delay (serialization + latency + jitter) or every round times
   /// out at least once.
   SimTime round_timeout_us = 60'000;
-  /// Bounded retransmission: attempts per reliable round before the
-  /// protocol run is declared failed. Installed as Network::retry_cap on
-  /// every attached network, which overrides the protocols' call-site
-  /// defaults (see Network::effective_retry_cap for the precedence rule).
-  int retry_cap = 32;
   /// Opt-in frame-arrival resumption: a round await returns as soon as the
   /// last in-flight copy this run posted has landed (and an incomplete
   /// round retransmits immediately on a quiet channel) instead of always

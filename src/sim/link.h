@@ -5,8 +5,9 @@
 // serialization time of the frame plus a base propagation/MAC latency plus
 // optional uniform jitter, and loss is drawn from a two-state
 // Gilbert–Elliott chain kept per directed link — so losses cluster into
-// bursts the way real radio fades do, instead of the seed network's
-// independent uniform drops.
+// bursts the way real radio fades do. Setting loss_good = loss_bad gives
+// independent uniform drops. This is the only loss model: net::Network is a
+// lossless medium and the driver's transport reports every dropped copy.
 #pragma once
 
 #include <cstdint>

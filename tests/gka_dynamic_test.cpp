@@ -8,6 +8,8 @@
 
 #include "gka/bd_math.h"
 #include "gka/session.h"
+#include "lossy_link.h"
+#include "sim/driver.h"
 
 namespace idgka::gka {
 namespace {
@@ -219,11 +221,14 @@ TEST(Lifecycle, MixedEventTrace) {
 }
 
 TEST(Lifecycle, DynamicEventsUnderLoss) {
-  GroupSession session(test_authority(), Scheme::kProposed, make_ids(5, 520), 21,
-                       /*loss_rate=*/0.10);
-  ASSERT_TRUE(session.form().success);
-  ASSERT_TRUE(session.join(610).success);
-  ASSERT_TRUE(session.leave(522).success);
+  GroupSession session(test_authority(), Scheme::kProposed, make_ids(5, 520), 21);
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, {.link = test::uniform_loss(0.10)}, 21);
+  driver.attach(session);
+  ASSERT_TRUE(driver.form().success);
+  ASSERT_TRUE(driver.join(610).success);
+  ASSERT_TRUE(driver.leave(522).success);
+  EXPECT_GT(driver.copies_dropped(), 0U);
   expect_consistent(session, "events under loss");
 }
 
@@ -275,12 +280,27 @@ TEST(Split, MovesMembersIntoFreshSession) {
   EXPECT_THROW((void)session.split({828}, 33), std::invalid_argument);
 }
 
-TEST(Split, OffshootInheritsLossRate) {
-  GroupSession session(test_authority(), Scheme::kProposed, make_ids(6, 840), 34,
-                       /*loss_rate=*/0.10);
-  ASSERT_TRUE(session.form().success);
+TEST(Split, OffshootTravelsOverTheDriversLink) {
+  // The offshoot's network gets the driver's hooks before it carries any
+  // traffic, so its formation is priced, lost and retransmitted on the
+  // same link as the parent's rounds.
+  GroupSession session(test_authority(), Scheme::kProposed, make_ids(6, 840), 34);
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, {.link = test::uniform_loss(0.10)}, 34);
+  driver.attach(session);
+  ASSERT_TRUE(driver.form().success);
+  const std::uint64_t frames_before = driver.frames_on_air();
+  const std::uint64_t drops_before = driver.copies_dropped();
+
   GroupSession offshoot = session.split({843, 844, 845}, 35);
-  EXPECT_DOUBLE_EQ(offshoot.loss_rate(), 0.10);
+  EXPECT_GT(driver.frames_on_air(), frames_before);
+  EXPECT_GT(driver.copies_dropped(), drops_before);
+  // The network is lossless, so every drop the offshoot's network saw came
+  // from the driver's link, and every frame it sent went on that air.
+  EXPECT_GT(offshoot.network().dropped(), 0U);
+  EXPECT_GE(driver.frames_on_air() - frames_before,
+            offshoot.network().total_stats().tx_messages);
+  expect_consistent(session, "survivors after lossy split");
   expect_consistent(offshoot, "lossy offshoot");
 }
 

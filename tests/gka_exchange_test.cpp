@@ -1,11 +1,12 @@
 // Reliable-round exchange tests: completion, retransmission accounting,
-// unicast routing, retry-cap behaviour, and the round loop's waits (one
-// Network::await_delivery() per transmit attempt, counted through the
-// round barrier).
+// unicast routing, the fixed retransmission budget, and the round loop's
+// waits (one Network::await_delivery() per transmit attempt, counted
+// through the round barrier). Lossy cases run over tests/lossy_link.h.
 #include "gka/exchange.h"
 
 #include <gtest/gtest.h>
 
+#include "lossy_link.h"
 #include "wire/codec.h"
 
 namespace idgka::gka {
@@ -50,7 +51,7 @@ TEST(ExchangeRound, LosslessRoundAwaitsExactlyOnce) {
   net.set_round_barrier([&] { ++awaits; });
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
-  const RoundResult r = exchange_round(net, sends, ids, /*max_retries=*/4);
+  const RoundResult r = exchange_round(net, sends, ids);
   EXPECT_EQ(awaits, 1);  // everything on the air, one wait, drained complete
   ASSERT_TRUE(r.complete);
   EXPECT_EQ(r.retransmissions, 0);
@@ -63,15 +64,16 @@ TEST(ExchangeRound, EmptyRoundCompletesWithoutAwaiting) {
   int awaits = 0;
   net.set_round_barrier([&] { ++awaits; });
   const std::vector<RoundSend> sends;  // nothing to transmit
-  const RoundResult r = exchange_round(net, sends, ids, 4);
+  const RoundResult r = exchange_round(net, sends, ids);
   EXPECT_EQ(awaits, 0);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.retransmissions, 0);
 }
 
 TEST(ExchangeRound, LossyRoundAwaitsOncePerAttempt) {
-  net::Network net(/*loss_rate=*/0.4, /*seed=*/7);
+  net::Network net;
   const auto ids = nodes(net, 5);
+  test::set_lossy_link(net, 0.4, /*seed=*/7);
   std::size_t transmitted = 0;
   net.set_frame_sniffer([&](const wire::Frame&) { ++transmitted; });
   // Transmissions on the air at each await: every attempt transmits at
@@ -80,8 +82,9 @@ TEST(ExchangeRound, LossyRoundAwaitsOncePerAttempt) {
   net.set_round_barrier([&] { tx_at_await.push_back(transmitted); });
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
-  const RoundResult r = exchange_round(net, sends, ids, /*max_retries=*/64);
+  const RoundResult r = exchange_round(net, sends, ids);
   ASSERT_TRUE(r.complete);
+  EXPECT_GT(net.dropped(), 0U);
   EXPECT_GT(r.retransmissions, 0);
   ASSERT_GT(tx_at_await.size(), 1U);
   EXPECT_EQ(tx_at_await.front(), sends.size());  // first attempt sends everyone
@@ -106,8 +109,9 @@ TEST(ExchangeRound, UnicastOnlyReachesRecipient) {
 }
 
 TEST(ExchangeRound, LossTriggersRetransmissionUntilComplete) {
-  net::Network net(0.4, /*seed=*/7);
+  net::Network net;
   const auto ids = nodes(net, 5);
+  test::set_lossy_link(net, 0.4, /*seed=*/7);
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
   const RoundResult r = exchange_round(net, sends, ids);
@@ -127,20 +131,27 @@ TEST(ExchangeRound, RetryCapGivesIncompleteResult) {
   });
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
-  const RoundResult r = exchange_round(net, sends, ids, /*max_retries=*/5);
+  const RoundResult r = exchange_round(net, sends, ids);
   EXPECT_FALSE(r.complete);
-  EXPECT_GT(r.retransmissions, 0);
+  // Only node 2's message is ever missing, so every attempt after the first
+  // is one retransmission, and the loop spends exactly the budget. The
+  // timed baselines were recorded with a budget of 32.
+  EXPECT_EQ(r.retransmissions, kMaxRetransmitAttempts);
+  EXPECT_EQ(kMaxRetransmitAttempts, 32);
   // Other traffic still went through.
   EXPECT_TRUE(r.collected.at(3).contains(1));
 }
 
 TEST(ExchangeRound, FirstCopyWinsOnDuplicates) {
-  net::Network net(0.3, /*seed=*/21);
+  net::Network net;
   const auto ids = nodes(net, 4);
+  test::set_lossy_link(net, 0.3, /*seed=*/21);
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});
   const RoundResult r = exchange_round(net, sends, ids);
   ASSERT_TRUE(r.complete);
+  EXPECT_GT(net.dropped(), 0U);
+  EXPECT_GT(r.retransmissions, 0);
   // Retransmissions rebroadcast to all; receivers keep exactly one copy per
   // sender even though the radio delivered (and charged) several.
   for (const auto rx : ids) EXPECT_EQ(r.collected.at(rx).size(), 3U);

@@ -3,6 +3,7 @@
 
 #include "gka/ing.h"
 #include "gka/session.h"
+#include "lossy_link.h"
 
 namespace idgka::gka {
 namespace {
@@ -74,10 +75,12 @@ TEST(IngCounts, RoundsScaleLinearlyUnlikeBd) {
 
 TEST(IngUnderLoss, RetransmissionRecovers) {
   auto members = make_members(5, 88);
-  net::Network network(0.1, 42);
+  net::Network network;
   for (const auto& m : members) network.add_node(m.cred.id);
+  test::set_lossy_link(network, 0.1, /*seed=*/42);
   const RunResult r = run_ing(test_authority().params(), members, network);
   ASSERT_TRUE(r.success);
+  EXPECT_GT(network.dropped(), 0U);
   EXPECT_GT(r.retransmissions, 0);
 }
 

@@ -7,6 +7,8 @@
 
 #include "gka/bd_math.h"
 #include "gka/session.h"
+#include "lossy_link.h"
+#include "sim/driver.h"
 
 namespace idgka::gka {
 namespace {
@@ -82,20 +84,26 @@ TEST(FormDeterminism, SameSeedSameKey) {
 }
 
 TEST(FormUnderLoss, RetransmissionsRecoverTheRun) {
-  GroupSession session(test_authority(), Scheme::kProposed, make_ids(6), /*seed=*/9,
-                       /*loss_rate=*/0.15);
-  const RunResult result = session.form();
+  GroupSession session(test_authority(), Scheme::kProposed, make_ids(6), /*seed=*/9);
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, {.link = test::uniform_loss(0.15)}, /*seed=*/9);
+  driver.attach(session);
+  const sim::OpOutcome result = driver.form();
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.retransmissions, 0);
   EXPECT_EQ(session.key(), oracle_key(session));
-  EXPECT_GT(session.network().dropped(), 0U);
+  EXPECT_GT(driver.copies_dropped(), 0U);
+  EXPECT_EQ(session.network().dropped(), driver.copies_dropped());
 }
 
 TEST(FormUnderLoss, KeysStillAgreeAcrossSchemes) {
   for (const Scheme scheme : {Scheme::kBdEcdsa, Scheme::kSsn}) {
-    GroupSession session(test_authority(), scheme, make_ids(4), /*seed=*/11,
-                         /*loss_rate=*/0.10);
-    ASSERT_TRUE(session.form().success) << scheme_name(scheme);
+    GroupSession session(test_authority(), scheme, make_ids(4), /*seed=*/11);
+    sim::Scheduler scheduler;
+    sim::ProtocolDriver driver(scheduler, {.link = test::uniform_loss(0.10)}, /*seed=*/11);
+    driver.attach(session);
+    ASSERT_TRUE(driver.form().success) << scheme_name(scheme);
+    EXPECT_GT(driver.copies_dropped(), 0U) << scheme_name(scheme);
     EXPECT_EQ(session.key(), oracle_key(session));
   }
 }

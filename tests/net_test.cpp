@@ -1,10 +1,11 @@
-// Broadcast-network simulator tests: delivery, byte accounting, loss
-// injection, payload container, shared-frame fan-out and byte-level
-// adversaries.
+// Broadcast-network simulator tests: delivery, byte accounting, drop
+// accounting through a lossy link, payload container, shared-frame fan-out
+// and byte-level adversaries.
 #include "net/network.h"
 
 #include <gtest/gtest.h>
 
+#include "lossy_link.h"
 #include "wire/codec.h"
 
 namespace idgka::net {
@@ -110,8 +111,6 @@ TEST(Network, StatsCountBitsAndMessages) {
   const auto total = net.total_stats();
   EXPECT_EQ(total.tx_bits, 1500U);
   EXPECT_EQ(total.rx_bits, 3000U);  // two receivers per broadcast
-  net.reset_stats();
-  EXPECT_EQ(net.stats(1).tx_bits, 0U);
 }
 
 TEST(Network, UnknownNodesRejected) {
@@ -123,40 +122,18 @@ TEST(Network, UnknownNodesRejected) {
   EXPECT_THROW(net.broadcast(make_msg(1), {9}), std::invalid_argument);
 }
 
-TEST(Network, LossInjectionDropsDeterministically) {
-  Network a(0.5, /*seed=*/42);
-  Network b(0.5, /*seed=*/42);
-  for (std::uint32_t id : {1U, 2U}) {
-    a.add_node(id);
-    b.add_node(id);
-  }
-  std::vector<bool> pattern_a;
-  std::vector<bool> pattern_b;
-  for (int i = 0; i < 100; ++i) {
-    a.broadcast(make_msg(1, 8), {1, 2});
-    b.broadcast(make_msg(1, 8), {1, 2});
-    pattern_a.push_back(a.pending(2) > 0);
-    pattern_b.push_back(b.pending(2) > 0);
-    (void)a.drain(2);
-    (void)b.drain(2);
-  }
-  EXPECT_EQ(pattern_a, pattern_b);  // same seed, same drops
-  EXPECT_GT(a.dropped(), 20U);      // ~50 expected
-  EXPECT_LT(a.dropped(), 80U);
-  // Receiver is not charged for dropped frames, but they are counted.
-  EXPECT_EQ(a.stats(2).rx_messages + a.dropped(), 100U);
-  EXPECT_EQ(a.stats(2).dropped_messages, a.dropped());
-  EXPECT_EQ(a.total_stats().dropped_messages, a.dropped());
-}
-
 TEST(Network, BroadcastSkipsSenderInGroup) {
   // Regression: a sender listed in its own receiver group is skipped — it
   // is charged tx exactly once and never receives or pays rx for its own
-  // frame, with or without loss injection.
-  Network net(0.5, /*seed=*/7);
+  // frame, on a lossless or a lossy link.
+  Network net;
   net.add_node(1);
   net.add_node(2);
+  const auto link = test::set_lossy_link(net, 0.5, /*seed=*/7);
   for (int i = 0; i < 50; ++i) net.broadcast(make_msg(1, 8), {1, 2});
+  EXPECT_EQ(link->copies_offered(), 50U);  // only the copies addressed to 2
+  EXPECT_GT(net.dropped(), 0U);
+  EXPECT_EQ(net.stats(2).rx_messages + net.dropped(), 50U);
   EXPECT_EQ(net.pending(1), 0U);
   EXPECT_EQ(net.stats(1).tx_messages, 50U);
   EXPECT_EQ(net.stats(1).rx_messages, 0U);
@@ -164,20 +141,11 @@ TEST(Network, BroadcastSkipsSenderInGroup) {
   EXPECT_EQ(net.stats(1).dropped_messages, 0U);  // no copy ever addressed to 1
 }
 
-TEST(Network, UnknownReceiverAlwaysThrowsUnderLoss) {
-  // Regression: the unknown-recipient check must not depend on the loss
-  // draw — every attempt throws, not just the delivered fraction.
-  Network net(0.9, /*seed=*/3);
-  net.add_node(1);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_THROW(net.broadcast(make_msg(1, 8), {9}), std::invalid_argument);
-  }
-}
-
 TEST(Network, DropObserverSeesEveryLoss) {
-  Network net(0.5, /*seed=*/11);
+  Network net;
   net.add_node(1);
   net.add_node(2);
+  const auto link = test::set_lossy_link(net, 0.5, /*seed=*/11);
   std::uint64_t observed = 0;
   std::uint64_t observed_bits = 0;
   net.set_drop_observer([&](const wire::Frame& f, std::uint32_t to) {
@@ -188,7 +156,12 @@ TEST(Network, DropObserverSeesEveryLoss) {
   for (int i = 0; i < 100; ++i) net.broadcast(make_msg(1, 8), {2});
   EXPECT_GT(observed, 0U);
   EXPECT_EQ(observed, net.dropped());
+  EXPECT_EQ(observed, link->copies_dropped());
   EXPECT_EQ(observed_bits, net.dropped() * 8);
+  // The receiver is not charged for dropped copies, but they are counted.
+  EXPECT_EQ(net.stats(2).rx_messages + net.dropped(), 100U);
+  EXPECT_EQ(net.stats(2).dropped_messages, net.dropped());
+  EXPECT_EQ(net.total_stats().dropped_messages, net.dropped());
 }
 
 TEST(Network, TransportInterceptsAndDepositDelivers) {
@@ -317,21 +290,13 @@ TEST(Network, DrainFramesReturnsRawBytes) {
   EXPECT_THROW((void)net.drain_frames(9), std::invalid_argument);
 }
 
-TEST(Network, RoundBarrierAndRetryCapHooks) {
+TEST(Network, RoundBarrierHook) {
   Network net;
   net.await_delivery();  // no barrier installed: no-op
   int barrier_calls = 0;
   net.set_round_barrier([&] { ++barrier_calls; });
   net.await_delivery();
   EXPECT_EQ(barrier_calls, 1);
-  EXPECT_FALSE(net.retry_cap().has_value());
-  net.set_retry_cap(3);
-  EXPECT_EQ(net.retry_cap().value(), 3);
-}
-
-TEST(Network, RejectsInvalidLossRate) {
-  EXPECT_THROW(Network(-0.1), std::invalid_argument);
-  EXPECT_THROW(Network(1.0), std::invalid_argument);
 }
 
 TEST(Network, RemoveNodeDropsInboxAndStats) {
