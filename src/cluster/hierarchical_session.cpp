@@ -17,10 +17,23 @@ namespace {
 
 std::uint64_t sealed_blocks(std::size_t bytes) { return bytes / symc::Aes128::kBlockSize; }
 
+void add_traffic(net::TrafficStats& into, const net::TrafficStats& stats) {
+  into.tx_messages += stats.tx_messages;
+  into.rx_messages += stats.rx_messages;
+  into.tx_bits += stats.tx_bits;
+  into.rx_bits += stats.rx_bits;
+}
+
 }  // namespace
 
 HierarchicalSession::HierarchicalSession(gka::Authority& authority, ClusterConfig config,
                                          std::vector<std::uint32_t> ids, std::uint64_t seed)
+    : HierarchicalSession(authority, std::move(config), std::move(ids), seed,
+                          /*one_cluster=*/false) {}
+
+HierarchicalSession::HierarchicalSession(gka::Authority& authority, ClusterConfig config,
+                                         std::vector<std::uint32_t> ids, std::uint64_t seed,
+                                         bool one_cluster)
     : authority_(authority), config_(std::move(config)), seed_(seed) {
   config_.validate();
 #if IDGKA_OBS
@@ -41,11 +54,15 @@ HierarchicalSession::HierarchicalSession(gka::Authority& authority, ClusterConfi
   }
   // Balanced sharding into k clusters of ~target_size() members each. k is
   // capped so no shard underflows min_cluster and floored so none exceeds
-  // max_cluster (a single cluster is exempt from the lower bound).
+  // max_cluster (a single cluster is exempt from the lower bound). A ring
+  // tier keeps every head in one cluster.
   const std::size_t n = ids.size();
-  std::size_t k = (n + config_.target_size() - 1) / config_.target_size();
-  k = std::min(k, std::max<std::size_t>(1, n / config_.min_cluster));
-  k = std::max(k, (n + config_.max_cluster - 1) / config_.max_cluster);
+  std::size_t k = 1;
+  if (!one_cluster) {
+    k = (n + config_.target_size() - 1) / config_.target_size();
+    k = std::min(k, std::max<std::size_t>(1, n / config_.min_cluster));
+    k = std::max(k, (n + config_.max_cluster - 1) / config_.max_cluster);
+  }
   const std::size_t base = n / k;
   const std::size_t extra = n % k;
   auto it = ids.begin();
@@ -158,24 +175,11 @@ EventSummary HierarchicalSession::merge(HierarchicalSession& other) {
     clusters_.push_back(std::move(cluster));
   }
   other.clusters_.clear();
+  if (other.head_) other.dissolve_head_tier();
   retired_ += other.retired_;
   other.retired_ = energy::Ledger{};
   for (const auto& [id, ledger] : other.retired_by_member_) retired_by_member_[id] += ledger;
   other.retired_by_member_.clear();
-  if (other.head_tier_) {
-    for (const std::uint32_t id : other.head_tier_->member_ids()) {
-      retire_member(id, other.head_tier_->ledger(id));
-    }
-    other.head_tier_.reset();
-  }
-  if (other.head_hier_) {
-    // Fold the nested tier's complete history straight into this side's
-    // retired pots (other's pots were already drained above).
-    for (const auto& [id, ledger] : other.head_hier_->lifetime_ledgers()) {
-      retire_member(id, ledger);
-    }
-    other.head_hier_.reset();
-  }
   other.member_view_.clear();
   other.group_key_ = BigInt{};
 
@@ -193,16 +197,10 @@ void HierarchicalSession::apply_leaves(const std::vector<std::uint32_t>& leaver_
   if (leaver_ids.empty()) return;
   std::vector<std::vector<std::uint32_t>> per(clusters_.size());
   for (const std::uint32_t id : leaver_ids) {
-    bool found = false;
-    for (std::size_t i = 0; i < clusters_.size(); ++i) {
-      const auto ids = clusters_[i]->member_ids();
-      if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
-        per[i].push_back(id);
-        found = true;
-        break;
-      }
-    }
-    if (!found) throw std::invalid_argument("leave: id not in group");
+    const auto home = std::find_if(clusters_.begin(), clusters_.end(),
+                                   [&](const auto& cluster) { return cluster->contains(id); });
+    if (home == clusters_.end()) throw std::invalid_argument("leave: id not in group");
+    per[static_cast<std::size_t>(home - clusters_.begin())].push_back(id);
   }
 
   // A cluster whose survivors would drop below 2 cannot run Leave/Partition
@@ -306,23 +304,18 @@ void HierarchicalSession::rebalance(EventSummary& summary) {
 
 void HierarchicalSession::update_head_tier() {
   if (clusters_.size() < 2) {
-    if (head_tier_) {
-      retire_ledgers(*head_tier_);
-      head_tier_.reset();
-    }
-    if (head_hier_) dissolve_nested();
+    if (head_) dissolve_head_tier();
     return;
   }
   const std::vector<std::uint32_t> desired = cluster_heads();
-  const bool nest = desired.size() > config_.max_cluster;
-  if ((nest && !head_hier_) || (!nest && !head_tier_)) {
+  const bool ring = desired.size() <= config_.max_cluster;
+  if (!head_ || ring != (head_->size() <= config_.max_cluster)) {
     // First build, or the head set crossed max_cluster and the tier shape
-    // changes (flat ring <-> nested hierarchy): renegotiate from scratch.
-    rebuild_head_tier();
+    // changes (ring <-> sharded heads-of-heads): renegotiate from scratch.
+    rebuild_head_tier(desired);
     return;
   }
-  const std::vector<std::uint32_t> current =
-      head_hier_ ? head_hier_->member_ids() : head_tier_->member_ids();
+  const std::vector<std::uint32_t> current = head_->member_ids();
   const std::set<std::uint32_t> current_set(current.begin(), current.end());
   const std::set<std::uint32_t> desired_set(desired.begin(), desired.end());
   std::vector<std::uint32_t> added;
@@ -333,82 +326,53 @@ void HierarchicalSession::update_head_tier() {
   for (const std::uint32_t id : current) {
     if (!desired_set.contains(id)) removed.push_back(id);
   }
+  if (current.size() - removed.size() < 2) {
+    // Too few heads survive to run the tier's own Leave/Partition.
+    rebuild_head_tier(desired);
+    return;
+  }
   if (added.empty() && removed.empty()) {
     // Tier membership unchanged, but leaf events happened below: re-execute
     // the tier GKA so the epoch key cannot be derived by departed members
-    // who still know the old tier key. A nested tier re-forms recursively
-    // (every ring on the path refreshes and re-seals downward).
-    const bool fresh = head_hier_ ? head_hier_->form().success : head_tier_->form().success;
-    if (!fresh) throw std::runtime_error("update_head_tier: tier rekey failed");
+    // who still know the old tier key (the tier re-forms every ring it
+    // holds and re-seals downward).
+    if (!head_->form().success) throw std::runtime_error("update_head_tier: tier rekey failed");
     return;
   }
-  if (head_hier_) {
-    // One batched tier round: the nested session applies joins + leaves,
-    // rebalances its own clusters, recursively updates its tiers and
-    // re-seals its tier key downward. Departed heads' tier energy is
-    // retired inside the nested session (see retired_ledger).
-    for (const std::uint32_t id : added) head_hier_->queue_.push({EventType::kJoin, id});
-    for (const std::uint32_t id : removed) head_hier_->queue_.push({EventType::kLeave, id});
-    head_hier_->flush();
-    return;
-  }
-  // Incremental update: joins first so the tier never drops below 2 mid-way.
-  for (const std::uint32_t id : added) {
-    if (!head_tier_->join(id).success) {
-      throw std::runtime_error("update_head_tier: head join failed");
-    }
-  }
-  for (const std::uint32_t id : removed) {
-    retire_member(id, head_tier_->ledger(id));
-    if (!head_tier_->leave(id).success) {
-      throw std::runtime_error("update_head_tier: head leave failed");
-    }
-  }
+  // One batched tier round: the tier applies joins + leaves, rebalances its
+  // own clusters, recursively updates the tiers above it and re-seals its
+  // key downward. Departed heads' tier energy is retired inside the tier
+  // (see retired_ledger).
+  for (const std::uint32_t id : added) head_->queue_.push({EventType::kJoin, id});
+  for (const std::uint32_t id : removed) head_->queue_.push({EventType::kLeave, id});
+  head_->flush();
 }
 
-void HierarchicalSession::rebuild_head_tier() {
-  if (head_tier_) {
-    retire_ledgers(*head_tier_);
-    head_tier_.reset();
-  }
-  if (head_hier_) dissolve_nested();
-  const std::vector<std::uint32_t> heads = cluster_heads();
-  if (heads.size() > config_.max_cluster) {
-    // The nested tier carries no label: tier rekeys are plumbing, not
-    // group-level events.
-    ClusterConfig nested = config_;
-    nested.label.clear();
-    head_hier_ =
-        std::make_unique<HierarchicalSession>(authority_, std::move(nested), heads, next_seed());
-    if (network_hook_) head_hier_->set_network_hook(network_hook_);
-    if (!head_hier_->form().success) {
-      throw std::runtime_error("rebuild_head_tier: nested tier agreement failed");
-    }
-    return;
-  }
-  head_tier_ =
-      std::make_unique<gka::GroupSession>(authority_, config_.scheme, heads, next_seed());
-  if (network_hook_) head_tier_->set_network_hook(network_hook_);
-  if (!head_tier_->form().success) {
+void HierarchicalSession::rebuild_head_tier(std::vector<std::uint32_t> heads) {
+  if (head_) dissolve_head_tier();
+  const bool ring = heads.size() <= config_.max_cluster;
+  // The tier carries no label: tier rekeys are plumbing, not group-level
+  // events.
+  ClusterConfig tier = config_;
+  tier.label.clear();
+  head_.reset(new HierarchicalSession(authority_, std::move(tier), std::move(heads), next_seed(),
+                                      ring));
+  if (network_hook_) head_->set_network_hook(network_hook_);
+  if (!head_->form().success) {
     throw std::runtime_error("rebuild_head_tier: tier key agreement failed");
   }
 }
 
-const BigInt& HierarchicalSession::tier_key() const {
-  if (head_hier_) return head_hier_->group_key();
-  return head_tier_ ? head_tier_->key() : clusters_.front()->key();
-}
-
-void HierarchicalSession::dissolve_nested() {
-  for (const auto& [id, ledger] : head_hier_->lifetime_ledgers()) retire_member(id, ledger);
-  head_hier_.reset();
+void HierarchicalSession::dissolve_head_tier() {
+  for (const auto& [id, ledger] : head_->lifetime_ledgers()) retire_member(id, ledger);
+  head_.reset();
 }
 
 energy::Ledger HierarchicalSession::retired_ledger(std::uint32_t id) const {
   energy::Ledger total;
   const auto it = retired_by_member_.find(id);
   if (it != retired_by_member_.end()) total += it->second;
-  if (head_hier_ && !head_hier_->contains(id)) total += head_hier_->retired_ledger(id);
+  if (head_ && !head_->contains(id)) total += head_->retired_ledger(id);
   return total;
 }
 
@@ -417,16 +381,16 @@ std::map<std::uint32_t, energy::Ledger> HierarchicalSession::lifetime_ledgers() 
   const std::vector<std::uint32_t> ids = member_ids();
   const std::set<std::uint32_t> current(ids.begin(), ids.end());
   // Current members: member_ledger already folds leaf + tier (live and
-  // retired, nested tiers included) + this tier's retired tenures.
+  // retired, every tier above included) + this tier's retired tenures.
   for (const std::uint32_t id : ids) out[id] = member_ledger(id);
   // Departed members: leaf tenures were retired here, tier tenures inside
-  // the nested session (when one exists) — fold both, skipping ids already
-  // fully covered above.
+  // the tier (when one exists) — fold both, skipping ids already fully
+  // covered above.
   for (const auto& [id, ledger] : retired_by_member_) {
     if (!current.contains(id)) out[id] += ledger;
   }
-  if (head_hier_) {
-    for (const auto& [id, ledger] : head_hier_->lifetime_ledgers()) {
+  if (head_) {
+    for (const auto& [id, ledger] : head_->lifetime_ledgers()) {
       if (!current.contains(id)) out[id] += ledger;
     }
   }
@@ -438,10 +402,6 @@ void HierarchicalSession::retire_member(std::uint32_t id, const energy::Ledger& 
   retired_by_member_[id] += ledger;
 }
 
-void HierarchicalSession::retire_ledgers(const gka::GroupSession& session) {
-  for (const std::uint32_t id : session.member_ids()) retire_member(id, session.ledger(id));
-}
-
 void HierarchicalSession::rekey_and_distribute() {
   ++epoch_;
   OBS_SPAN_ARG("cluster.rekey", "cluster", epoch_);
@@ -450,11 +410,12 @@ void HierarchicalSession::rekey_and_distribute() {
   if (labeled_rekeys_ != nullptr) labeled_rekeys_->add(1);
 #endif
   const std::string label = "idgka-cluster-v1|epoch|" + std::to_string(epoch_);
-  const auto key_bytes = symc::derive_key(tier_key(), label);
+  const auto key_bytes =
+      symc::derive_key(head_ ? head_->group_key() : clusters_.front()->key(), label);
   group_key_ = BigInt::from_bytes_be(key_bytes);
   member_view_.clear();
 
-  if (!head_tier_ && !head_hier_) {
+  if (!head_) {
     // Single-cluster mode: everyone already holds the leaf key and derives
     // the epoch key locally — no broadcast needed.
     gka::GroupSession& leaf = *clusters_.front();
@@ -555,19 +516,15 @@ std::size_t HierarchicalSession::size() const {
 }
 
 bool HierarchicalSession::contains(std::uint32_t id) const {
-  for (const auto& cluster : clusters_) {
-    const auto ids = cluster->member_ids();
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) return true;
-  }
-  return false;
+  return std::any_of(clusters_.begin(), clusters_.end(),
+                     [&](const auto& cluster) { return cluster->contains(id); });
 }
 
 std::vector<std::uint32_t> HierarchicalSession::member_ids() const {
   std::vector<std::uint32_t> out;
   out.reserve(size());
   for (const auto& cluster : clusters_) {
-    const auto ids = cluster->member_ids();
-    out.insert(out.end(), ids.begin(), ids.end());
+    for (const gka::MemberCtx& m : cluster->members()) out.push_back(m.cred.id);
   }
   return out;
 }
@@ -582,50 +539,34 @@ std::vector<std::size_t> HierarchicalSession::cluster_sizes() const {
 std::vector<std::uint32_t> HierarchicalSession::cluster_heads() const {
   std::vector<std::uint32_t> out;
   out.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) out.push_back(cluster->member_ids().front());
+  for (const auto& cluster : clusters_) out.push_back(cluster->members().front().cred.id);
   return out;
 }
 
 energy::Ledger HierarchicalSession::member_ledger(std::uint32_t id) const {
-  energy::Ledger total;
-  bool found = false;
-  for (const auto& cluster : clusters_) {
-    const auto ids = cluster->member_ids();
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
-      total += cluster->ledger(id);
-      found = true;
-      break;
-    }
+  const auto home = std::find_if(clusters_.begin(), clusters_.end(),
+                                 [&](const auto& cluster) { return cluster->contains(id); });
+  if (home == clusters_.end()) {
+    throw std::invalid_argument("HierarchicalSession::member_ledger: unknown id");
   }
-  if (!found) throw std::invalid_argument("HierarchicalSession::member_ledger: unknown id");
-  if (head_tier_) {
-    const auto heads = head_tier_->member_ids();
-    if (std::find(heads.begin(), heads.end(), id) != heads.end()) {
-      total += head_tier_->ledger(id);
-    }
-  } else if (head_hier_) {
-    // Tier tenure: the nested session's lifetime view when the id is a
-    // current head, its retired tenures there when it once was one.
-    total += head_hier_->contains(id) ? head_hier_->member_ledger(id)
-                                      : head_hier_->retired_ledger(id);
+  energy::Ledger total = (*home)->ledger(id);
+  if (head_) {
+    // Tier tenure: the tier's lifetime view when the id is a current head,
+    // its retired tenures there when it once was one.
+    total += head_->contains(id) ? head_->member_ledger(id) : head_->retired_ledger(id);
   }
   const auto rit = retired_by_member_.find(id);
   if (rit != retired_by_member_.end()) total += rit->second;
   return total;
 }
 
-std::size_t HierarchicalSession::depth() const {
-  if (head_hier_) return 1 + head_hier_->depth();
-  return head_tier_ ? 2 : 1;
-}
+std::size_t HierarchicalSession::depth() const { return head_ ? 1 + head_->depth() : 1; }
 
 std::vector<std::size_t> HierarchicalSession::tier_sizes() const {
   std::vector<std::size_t> out{size()};
-  if (head_hier_) {
-    const std::vector<std::size_t> nested = head_hier_->tier_sizes();
-    out.insert(out.end(), nested.begin(), nested.end());
-  } else if (head_tier_) {
-    out.push_back(head_tier_->size());
+  if (head_) {
+    const std::vector<std::size_t> above = head_->tier_sizes();
+    out.insert(out.end(), above.begin(), above.end());
   }
   return out;
 }
@@ -633,8 +574,7 @@ std::vector<std::size_t> HierarchicalSession::tier_sizes() const {
 void HierarchicalSession::set_network_hook(NetworkHook hook) {
   network_hook_ = std::move(hook);
   for (auto& cluster : clusters_) cluster->set_network_hook(network_hook_);
-  if (head_tier_) head_tier_->set_network_hook(network_hook_);
-  if (head_hier_) head_hier_->set_network_hook(network_hook_);
+  if (head_) head_->set_network_hook(network_hook_);
 }
 
 AggregateReport HierarchicalSession::report() const {
@@ -643,33 +583,16 @@ AggregateReport HierarchicalSession::report() const {
   rep.clusters = clusters_.size();
   rep.total = retired_;
   for (const auto& cluster : clusters_) {
-    for (const std::uint32_t id : cluster->member_ids()) rep.total += cluster->ledger(id);
-    const net::TrafficStats stats = cluster->network().total_stats();
-    rep.traffic.tx_messages += stats.tx_messages;
-    rep.traffic.rx_messages += stats.rx_messages;
-    rep.traffic.tx_bits += stats.tx_bits;
-    rep.traffic.rx_bits += stats.rx_bits;
+    for (const gka::MemberCtx& m : cluster->members()) rep.total += m.ledger;
+    add_traffic(rep.traffic, cluster->network().total_stats());
   }
-  if (head_tier_) {
-    for (const std::uint32_t id : head_tier_->member_ids()) {
-      rep.total += head_tier_->ledger(id);
-      rep.head_tier += head_tier_->ledger(id);
-    }
-    const net::TrafficStats stats = head_tier_->network().total_stats();
-    rep.traffic.tx_messages += stats.tx_messages;
-    rep.traffic.rx_messages += stats.rx_messages;
-    rep.traffic.tx_bits += stats.tx_bits;
-    rep.traffic.rx_bits += stats.rx_bits;
-  } else if (head_hier_) {
-    // The nested tier reports recursively: live tier ledgers, its own
-    // retired tenures, and every tier network's traffic.
-    const AggregateReport nested = head_hier_->report();
-    rep.total += nested.total;
-    rep.head_tier += nested.total;
-    rep.traffic.tx_messages += nested.traffic.tx_messages;
-    rep.traffic.rx_messages += nested.traffic.rx_messages;
-    rep.traffic.tx_bits += nested.traffic.tx_bits;
-    rep.traffic.rx_bits += nested.traffic.rx_bits;
+  if (head_) {
+    // The tier reports recursively: live tier ledgers, its own retired
+    // tenures, and every tier network's traffic.
+    const AggregateReport tier = head_->report();
+    rep.total += tier.total;
+    rep.head_tier += tier.total;
+    add_traffic(rep.traffic, tier.traffic);
   }
   return rep;
 }

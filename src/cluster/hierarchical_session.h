@@ -5,16 +5,16 @@
 // HierarchicalSession shards the group into clusters bounded by
 // [min_cluster, max_cluster]; each cluster runs the paper's protocol as an
 // independent leaf GroupSession on its own broadcast domain, and the
-// cluster heads (first ring member of each cluster) run a second-tier GKA
-// among themselves. When the head set itself outgrows max_cluster, the
-// head tier is a nested HierarchicalSession — heads-of-heads, recursively
-// — so a depth-k tree covers fan-out^k members with every ring still
-// bounded by max_cluster. The global group
-// key is derived from the top tier's key with symc::derive_key and pushed
-// downward as one SealedBox broadcast per cluster, sealed under that
-// cluster's leaf key — intermediate tiers repeat the same sealed push for
-// their own tier keys, and plain leaf members perform only symmetric
-// decryptions, never an extra exponentiation.
+// cluster heads (first ring member of each cluster) form the tier above.
+// That tier is itself a HierarchicalSession over the heads: a single ring
+// (one cluster) while the heads fit max_cluster, sharded into
+// heads-of-heads clusters beyond that — so a depth-k tree covers
+// fan-out^k members with every ring still bounded by max_cluster, and the
+// depth follows the head count. The global group key is derived from the
+// tier's key with symc::derive_key and pushed downward as one SealedBox
+// broadcast per cluster, sealed under that cluster's leaf key — every tier
+// repeats the same sealed push for its own key, and plain leaf members
+// perform only symmetric decryptions, never an extra exponentiation.
 //
 // Membership events stay cluster-local: a leave rekeys one leaf ring
 // (O(cluster) work) plus the tier path above it, instead of O(n).
@@ -85,7 +85,7 @@ class HierarchicalSession {
   EventSummary flush();
 
   // --- Introspection ---
-  /// The authoritative group key (derived from the head-tier key).
+  /// The authoritative group key (derived from the tier's key).
   [[nodiscard]] const BigInt& group_key() const;
   /// The group key as decrypted by one member from its head's rekey
   /// broadcast — what the member would actually encrypt traffic with.
@@ -97,8 +97,8 @@ class HierarchicalSession {
   [[nodiscard]] bool contains(std::uint32_t id) const;
   /// Leaf clusters of this tier (nested tiers have their own).
   [[nodiscard]] std::size_t cluster_count() const { return clusters_.size(); }
-  /// Number of session tiers: 1 for a single borderless cluster, 2 for the
-  /// classic leaf + flat-head shape, 3+ when heads-of-heads tiers exist.
+  /// Number of session tiers: 1 for a single cluster, 2 for leaves under
+  /// one head ring, 3+ when heads-of-heads tiers exist.
   [[nodiscard]] std::size_t depth() const;
   /// Member count per tier, leaves first: {n, #heads, #heads-of-heads, ...}.
   [[nodiscard]] std::vector<std::size_t> tier_sizes() const;
@@ -108,46 +108,49 @@ class HierarchicalSession {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
-  /// Rolls up per-member ledgers (leaf + head tier + retired) and network
-  /// counters into one deployment-wide report.
+  /// Rolls up per-member ledgers (leaves + every tier above + retired) and
+  /// network counters into one deployment-wide report.
   [[nodiscard]] AggregateReport report() const;
 
   /// Lifetime ledger of one *current* member: its leaf-cluster ledger, its
-  /// head-tier ledger when it leads a cluster, plus every tenure of its
-  /// that was retired along the way (cluster splits, head-tier rebuilds,
-  /// departures before a rejoin) — monotonic over the node's lifetime, so
-  /// a battery can integrate it directly. Throws for unknown ids.
+  /// tier ledger (live and retired) when it leads or once led a cluster,
+  /// plus every tenure of its that was retired along the way (cluster
+  /// splits, tier rebuilds, departures before a rejoin) — monotonic over
+  /// the node's lifetime, so a battery can integrate it directly. Throws
+  /// for unknown ids.
   [[nodiscard]] energy::Ledger member_ledger(std::uint32_t id) const;
 
-  /// Hook applied to every leaf and head-tier network, current and future
-  /// (head-tier rebuilds, cluster splits, adopted clusters on merge). The
+  /// Hook applied to every leaf and tier network, current and future (tier
+  /// rebuilds, cluster splits, adopted clusters on merge). The
   /// discrete-event driver (src/sim) installs its timed transport this way.
   using NetworkHook = gka::GroupSession::NetworkHook;
   void set_network_hook(NetworkHook hook);
 
  private:
+  /// Shards `ids` as the public constructor does or, for a ring tier, keeps
+  /// them in one cluster (the caller keeps that within max_cluster).
+  HierarchicalSession(gka::Authority& authority, ClusterConfig config,
+                      std::vector<std::uint32_t> ids, std::uint64_t seed, bool one_cluster);
+
   [[nodiscard]] std::uint64_t next_seed() { return seed_ ^ (0x9e3779b97f4a7c15ULL * ++seed_ctr_); }
 
   void apply_leaves(const std::vector<std::uint32_t>& leaver_ids, EventSummary& summary);
   void apply_joins(const std::vector<std::uint32_t>& joiner_ids, EventSummary& summary);
   void rebalance(EventSummary& summary);
   void update_head_tier();
-  void rebuild_head_tier();
+  void rebuild_head_tier(std::vector<std::uint32_t> heads);
   void retire_member(std::uint32_t id, const energy::Ledger& ledger);
-  void retire_ledgers(const gka::GroupSession& session);
   void rekey_and_distribute();
-  /// Key the group key derives from: the top tier's agreed key.
-  [[nodiscard]] const BigInt& tier_key() const;
-  /// Folds the nested tier's complete energy history into the retired pots
-  /// and destroys it (tier collapse, merge absorption).
-  void dissolve_nested();
-  /// Retired energy attributed to `id` at this tier and below-tier nests
+  /// Folds the tier's complete energy history into the retired pots and
+  /// destroys it (tier collapse or rebuild).
+  void dissolve_head_tier();
+  /// Retired energy attributed to `id` at this tier and the tiers above
   /// (zero ledger when none) — lets an enclosing tier account a departed
   /// head's history without reaching into private pots.
   [[nodiscard]] energy::Ledger retired_ledger(std::uint32_t id) const;
   /// Complete per-member energy accounting of this session: every current
   /// member's lifetime ledger plus every departed member's retired tenure,
-  /// nested tiers included. Used when this session is dissolved wholesale.
+  /// the tiers above included. Used when this session is dissolved wholesale.
   [[nodiscard]] std::map<std::uint32_t, energy::Ledger> lifetime_ledgers() const;
 
   gka::Authority& authority_;
@@ -156,12 +159,11 @@ class HierarchicalSession {
   std::uint64_t seed_ctr_ = 0;
 
   std::vector<std::unique_ptr<gka::GroupSession>> clusters_;
-  /// Second-tier session among cluster heads; null while only one cluster
-  /// exists (the group key then derives from the single leaf key). At most
-  /// one of head_tier_ / head_hier_ is set: flat ring while the head set
-  /// fits max_cluster, nested hierarchy (heads-of-heads) beyond that.
-  std::unique_ptr<gka::GroupSession> head_tier_;
-  std::unique_ptr<HierarchicalSession> head_hier_;
+  /// The tier above: a session among the cluster heads, null while only
+  /// one cluster exists (the group key then derives from the single leaf
+  /// key). One cluster (a ring) while the heads fit max_cluster, sharded
+  /// into heads-of-heads beyond that; crossing the bound rebuilds it.
+  std::unique_ptr<HierarchicalSession> head_;
 
   EventQueue queue_;
   NetworkHook network_hook_;
@@ -170,7 +172,7 @@ class HierarchicalSession {
   /// Per-member decrypted view of the group key (tests verify consistency).
   std::map<std::uint32_t, BigInt> member_view_;
   /// Ledgers of departed members and of per-member state retired by cluster
-  /// splits / head-tier rebuilds — kept so report() stays a lifetime total.
+  /// splits / tier rebuilds — kept so report() stays a lifetime total.
   energy::Ledger retired_;
   /// The same retired energy attributed per node, so member_ledger() stays
   /// monotonic across splits / tier rebuilds / rejoins (battery accounting).

@@ -18,7 +18,10 @@ struct AggregateReport {
   std::size_t clusters = 0;
   /// Everything: current leaf members + head tier + retired ledgers.
   energy::Ledger total;
-  /// Head-tier participants only (the extra cost of the hierarchy).
+  /// Every tier above the leaves (the extra cost of the hierarchy): the
+  /// current tier's lifetime energy, its retired tenures (heads that left
+  /// it) included. A tier that is rebuilt or dissolved moves its history
+  /// into `total`'s retired part.
   energy::Ledger head_tier;
   /// Live network counters summed over every leaf network + the head net.
   net::TrafficStats traffic;

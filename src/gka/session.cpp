@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "gka/bd_signed.h"
 #include "gka/dynamic.h"
@@ -41,11 +42,15 @@ GroupSession::GroupSession(Authority& authority, Scheme scheme,
   snapshot_traffic();
 }
 
-MemberCtx* GroupSession::find(std::uint32_t id) {
-  for (MemberCtx& m : members_) {
+const MemberCtx* GroupSession::find(std::uint32_t id) const {
+  for (const MemberCtx& m : members_) {
     if (m.cred.id == id) return &m;
   }
   return nullptr;
+}
+
+MemberCtx* GroupSession::find(std::uint32_t id) {
+  return const_cast<MemberCtx*>(std::as_const(*this).find(id));
 }
 
 void GroupSession::snapshot_traffic() {
@@ -247,10 +252,9 @@ std::vector<std::uint32_t> GroupSession::member_ids() const {
 }
 
 const energy::Ledger& GroupSession::ledger(std::uint32_t id) const {
-  for (const MemberCtx& m : members_) {
-    if (m.cred.id == id) return m.ledger;
-  }
-  throw std::invalid_argument("GroupSession::ledger: unknown id");
+  const MemberCtx* m = find(id);
+  if (m == nullptr) throw std::invalid_argument("GroupSession::ledger: unknown id");
+  return m->ledger;
 }
 
 energy::Ledger& GroupSession::mutable_ledger(std::uint32_t id) {

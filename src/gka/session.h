@@ -60,6 +60,7 @@ class GroupSession {
   [[nodiscard]] const BigInt& key() const;
   [[nodiscard]] std::vector<std::uint32_t> member_ids() const;
   [[nodiscard]] std::size_t size() const { return members_.size(); }
+  [[nodiscard]] bool contains(std::uint32_t id) const { return find(id) != nullptr; }
   [[nodiscard]] bool has_key() const;
 
   /// Cumulative per-member energy ledger (ops + radio bits).
@@ -102,6 +103,7 @@ class GroupSession {
   void snapshot_traffic();
   void absorb_traffic();
   MemberCtx* find(std::uint32_t id);
+  const MemberCtx* find(std::uint32_t id) const;
 
   Authority* authority_;  ///< never null; pointer (not reference) so moves rebind
   Scheme scheme_;

@@ -1,6 +1,5 @@
 #include "sim/driver.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -209,11 +208,7 @@ std::size_t ProtocolDriver::size() const {
 }
 
 bool ProtocolDriver::contains(std::uint32_t id) const {
-  if (flat_ != nullptr) {
-    const auto ids = flat_->member_ids();
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
-  }
-  return hier_->contains(id);
+  return flat_ != nullptr ? flat_->contains(id) : hier_->contains(id);
 }
 
 std::vector<std::uint32_t> ProtocolDriver::member_ids() const {

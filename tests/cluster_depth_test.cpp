@@ -4,11 +4,16 @@
 // at modest n, so these suites exercise tier nesting cheaply: tree shape,
 // unbounded nesting, key consistency through join/leave/partition/merge
 // across depth transitions, run-to-run determinism at equal seeds, and
-// monotonic lifetime energy accounting while tiers appear and dissolve.
+// monotonic lifetime energy accounting while tiers appear and dissolve, a
+// head handover that rebuilds a two-head ring, and the tree shape at every
+// step of churn that crosses max_cluster both ways.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "cluster/hierarchical_session.h"
 
@@ -203,6 +208,102 @@ TEST(DepthKTest, ReportAggregatesNestedTiers) {
   energy::Ledger sum;
   for (const std::uint32_t id : session.member_ids()) sum += session.member_ledger(id);
   EXPECT_GE(ledger_weight(rep.total), ledger_weight(sum));
+}
+
+TEST(DepthKTest, HeadHandoverRebuildsTwoHeadRing) {
+  // Two clusters: the tier above is a ring of two heads. When the second
+  // head leaves, its cluster's next member takes over and only one current
+  // head survives in the ring, so the ring is renegotiated from scratch.
+  ClusterConfig cfg;
+  cfg.min_cluster = 4;
+  cfg.max_cluster = 12;
+  HierarchicalSession session(tiny_authority(), cfg, make_ids(16), /*seed=*/31);
+  ASSERT_TRUE(session.form().success);
+  ASSERT_EQ(session.cluster_count(), 2U);
+  ASSERT_EQ(session.tier_sizes(), (std::vector<std::size_t>{16, 2}));
+
+  std::map<std::uint32_t, std::uint64_t> before;
+  for (const std::uint32_t id : session.member_ids()) {
+    before[id] = ledger_weight(session.member_ledger(id));
+  }
+  const std::uint32_t leaver = session.cluster_heads()[1];
+  ASSERT_TRUE(session.leave(leaver).success);
+  expect_consistent(session, "after head handover");
+  EXPECT_EQ(session.tier_sizes(), (std::vector<std::size_t>{15, 2}));
+  EXPECT_FALSE(session.contains(leaver));
+  for (const std::uint32_t id : session.member_ids()) {
+    EXPECT_GE(ledger_weight(session.member_ledger(id)), before.at(id)) << "member " << id;
+  }
+}
+
+// Tree shape: every tier above the leaves except the top holds more than
+// max_cluster members (so it had to be sharded), and the top tier fits one
+// ring of at most max_cluster.
+void expect_shape(const HierarchicalSession& session, const std::string& what) {
+  const std::vector<std::size_t> tiers = session.tier_sizes();
+  ASSERT_EQ(tiers.size(), session.depth()) << what;
+  const std::size_t max = session.config().max_cluster;
+  for (std::size_t t = 1; t + 1 < tiers.size(); ++t) {
+    EXPECT_GT(tiers[t], max) << what << " tier " << t;
+  }
+  EXPECT_LE(tiers.back(), max) << what;
+}
+
+// Grows the group past `high` members and shrinks it below `low`, twice,
+// in batches of 1-6 events (leaves pick members, heads included, at
+// random), checking the tree shape and key agreement after every flush.
+void churn_across_max_cluster(std::size_t min_cluster, std::size_t max_cluster, std::size_t low,
+                              std::size_t high) {
+  ClusterConfig cfg;
+  cfg.min_cluster = min_cluster;
+  cfg.max_cluster = max_cluster;
+  cfg.batch_capacity = 64;
+  HierarchicalSession session(tiny_authority(), cfg, make_ids(low), /*seed=*/41);
+  ASSERT_TRUE(session.form().success);
+  expect_shape(session, "after form");
+
+  std::uint64_t rng = 0x243f6a8885a308d3ULL;
+  const auto next = [&](std::size_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>((rng >> 33) % bound);
+  };
+  std::uint32_t next_id = 20000;
+  std::size_t min_depth = session.depth();
+  std::size_t max_depth = session.depth();
+  for (int phase = 0; phase < 4; ++phase) {
+    const bool grow = phase % 2 == 0;
+    while (grow ? session.size() < high : session.size() > low) {
+      const std::size_t batch = 1 + next(6);
+      if (grow) {
+        for (std::size_t i = 0; i < batch; ++i) session.enqueue_join(next_id++);
+      } else {
+        std::vector<std::uint32_t> ids = session.member_ids();
+        for (std::size_t i = 0; i < batch && ids.size() > 2; ++i) {
+          const std::size_t pick = next(ids.size());
+          session.enqueue_leave(ids[pick]);
+          ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+      }
+      ASSERT_TRUE(session.flush().success);
+      const std::string what = "phase " + std::to_string(phase) + " at n=" +
+                               std::to_string(session.size());
+      expect_shape(session, what);
+      expect_consistent(session, what.c_str());
+      min_depth = std::min(min_depth, session.depth());
+      max_depth = std::max(max_depth, session.depth());
+    }
+  }
+  // The churn really crossed max_cluster at the head tier both ways.
+  EXPECT_LE(min_depth, 2U);
+  EXPECT_GE(max_depth, 3U);
+}
+
+TEST(DepthKTest, TreeShapeHoldsThroughChurnAcrossMaxClusterTiny) {
+  churn_across_max_cluster(2, 4, 6, 40);
+}
+
+TEST(DepthKTest, TreeShapeHoldsThroughChurnAcrossMaxClusterWide) {
+  churn_across_max_cluster(4, 12, 20, 130);
 }
 
 }  // namespace
