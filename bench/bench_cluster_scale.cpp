@@ -22,8 +22,8 @@
 //     and is reported for the measured parts only).
 //
 // Writes BENCH_cluster.json (rows + tree shapes + peak_rss_kb). The
-// deterministic fields (bits, energy, depth, cluster counts) are pure
-// functions of the seed and gate in CI via bench_compare --ignore _ms.
+// deterministic fields (bits, energy, mod-exps, depth, cluster counts) are
+// pure functions of the seed and gate in CI via bench_compare --ignore _ms.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +33,7 @@
 
 #include "bench_util.h"
 #include "cluster/hierarchical_session.h"
+#include "mpint/mod_context.h"
 
 using namespace idgka;
 using namespace idgka::bench;
@@ -51,6 +52,9 @@ struct Row {
   double event_ms = 0.0;
   double event_kbits = 0.0;
   double event_mj = 0.0;
+  /// mpint exponentiations per churn event: a deterministic work counter
+  /// that moves whenever a rekey touches more (or fewer) rings.
+  double event_mod_exps = 0.0;
   std::size_t depth = 1;     // session tiers (1 = flat ring)
   std::size_t clusters = 1;  // leaf clusters
 };
@@ -58,6 +62,10 @@ struct Row {
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double exps_since(const mpint::OpCounts& before) {
+  return static_cast<double>(mpint::op_counts().exps - before.exps) / kChurnEvents;
 }
 
 double ledger_total_mj(const energy::Ledger& ledger) {
@@ -82,12 +90,14 @@ Row run_flat(gka::Authority& authority, std::size_t n) {
   row.form_kbits = static_cast<double>(after_form.tx_bits) / 1000.0;
   row.form_mj = ledger_total_mj(after_form);
 
+  const mpint::OpCounts ops_before = mpint::op_counts();
   t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kChurnEvents / 2; ++i) {
     if (!session.join(90000 + static_cast<std::uint32_t>(i)).success) return row;
     if (!session.leave(10001 + static_cast<std::uint32_t>(i)).success) return row;
   }
   row.event_ms = ms_since(t0) / kChurnEvents;
+  row.event_mod_exps = exps_since(ops_before);
   // Departed members' ledgers are dropped by the session; the survivor sum
   // still dominates and the comparison is conservative *against* the
   // hierarchy (which retains every retired ledger in its roll-up).
@@ -115,12 +125,14 @@ Row run_hierarchical(gka::Authority& authority, std::size_t n) {
   row.form_kbits = static_cast<double>(after_form.total.tx_bits) / 1000.0;
   row.form_mj = after_form.energy_mj(energy::strongarm(), energy::wlan_spectrum24());
 
+  const mpint::OpCounts ops_before = mpint::op_counts();
   t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kChurnEvents / 2; ++i) {
     if (!session.join(90000 + static_cast<std::uint32_t>(i)).success) return row;
     if (!session.leave(10001 + static_cast<std::uint32_t>(i)).success) return row;
   }
   row.event_ms = ms_since(t0) / kChurnEvents;
+  row.event_mod_exps = exps_since(ops_before);
   const cluster::AggregateReport after_churn = session.report();
   row.event_kbits =
       static_cast<double>(after_churn.total.tx_bits - after_form.total.tx_bits) / 1000.0 /
@@ -241,10 +253,10 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf,
                   "{\"mode\":\"%s\",\"n\":%zu,\"form_ms\":%.1f,\"form_kbits\":%.1f,"
                   "\"form_mj\":%.1f,\"event_ms\":%.2f,\"event_kbits\":%.2f,"
-                  "\"event_mj\":%.3f,\"depth\":%zu,\"clusters\":%zu}",
+                  "\"event_mj\":%.3f,\"depth\":%zu,\"clusters\":%zu,\"event_mod_exps\":%.2f}",
                   rows[i].mode.c_str(), rows[i].n, rows[i].form_ms, rows[i].form_kbits,
                   rows[i].form_mj, rows[i].event_ms, rows[i].event_kbits, rows[i].event_mj,
-                  rows[i].depth, rows[i].clusters);
+                  rows[i].depth, rows[i].clusters, rows[i].event_mod_exps);
     out << buf;
   }
   out << ']';

@@ -80,6 +80,7 @@ EventSummary HierarchicalSession::form() {
   EventSummary summary;
   for (auto& cluster : clusters_) {
     if (!cluster->form().success) return summary;  // success stays false
+    rekeyed_.push_back(cluster.get());
     ++summary.clusters_touched;
   }
   update_head_tier();
@@ -231,7 +232,7 @@ void HierarchicalSession::apply_leaves(const std::vector<std::uint32_t>& leaver_
     ++summary.merges;
     ++summary.clusters_touched;
     per[target].insert(per[target].end(), per[victim].begin(), per[victim].end());
-    clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(victim));
+    erase_cluster(victim);
     per.erase(per.begin() + static_cast<std::ptrdiff_t>(victim));
   }
 
@@ -244,6 +245,7 @@ void HierarchicalSession::apply_leaves(const std::vector<std::uint32_t>& leaver_
     const gka::RunResult result = per[i].size() == 1 ? clusters_[i]->leave(per[i].front())
                                                      : clusters_[i]->partition(per[i]);
     if (!result.success) throw std::runtime_error("apply_leaves: leaf rekey failed");
+    rekeyed_.push_back(clusters_[i].get());
     ++summary.clusters_touched;
   }
 }
@@ -261,6 +263,7 @@ void HierarchicalSession::apply_joins(const std::vector<std::uint32_t>& joiner_i
     if (!clusters_[best]->join(id).success) {
       throw std::runtime_error("apply_joins: leaf join failed");
     }
+    rekeyed_.push_back(clusters_[best].get());
     ++summary.clusters_touched;
   }
 }
@@ -280,7 +283,8 @@ void HierarchicalSession::rebalance(EventSummary& summary) {
     if (!clusters_[target]->merge(*clusters_[smallest]).success) {
       throw std::runtime_error("rebalance: cluster merge failed");
     }
-    clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(smallest));
+    rekeyed_.push_back(clusters_[target].get());
+    erase_cluster(smallest);
     ++summary.merges;
     ++summary.clusters_touched;
   }
@@ -296,13 +300,28 @@ void HierarchicalSession::rebalance(EventSummary& summary) {
       for (const std::uint32_t id : moved) retire_member(id, clusters_[i]->ledger(id));
       clusters_.push_back(
           std::make_unique<gka::GroupSession>(clusters_[i]->split(moved, next_seed())));
+      rekeyed_.push_back(clusters_[i].get());
+      rekeyed_.push_back(clusters_.back().get());
       summary.splits += 1;
       summary.clusters_touched += 2;
     }
   }
 }
 
+void HierarchicalSession::erase_cluster(std::size_t index) {
+  std::erase(rekeyed_, clusters_[index].get());
+  clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(index));
+}
+
 void HierarchicalSession::update_head_tier() {
+  // Heads of the clusters that ran a protocol this round, in cluster order.
+  std::vector<std::uint32_t> rekeyed_heads;
+  for (const auto& cluster : clusters_) {
+    if (std::find(rekeyed_.begin(), rekeyed_.end(), cluster.get()) != rekeyed_.end()) {
+      rekeyed_heads.push_back(cluster->members().front().cred.id);
+    }
+  }
+  rekeyed_.clear();
   if (clusters_.size() < 2) {
     if (head_) dissolve_head_tier();
     return;
@@ -332,11 +351,12 @@ void HierarchicalSession::update_head_tier() {
     return;
   }
   if (added.empty() && removed.empty()) {
-    // Tier membership unchanged, but leaf events happened below: re-execute
-    // the tier GKA so the epoch key cannot be derived by departed members
-    // who still know the old tier key (the tier re-forms every ring it
-    // holds and re-seals downward).
-    if (!head_->form().success) throw std::runtime_error("update_head_tier: tier rekey failed");
+    // Tier membership unchanged, but leaf events happened below: the tier
+    // re-forms only the rings holding the heads of the rekeyed clusters, so
+    // the epoch key cannot be derived by departed members who still know
+    // the old tier key, then does the same one tier up and re-seals
+    // downward.
+    head_->rekey_rings(rekeyed_heads);
     return;
   }
   // One batched tier round: the tier applies joins + leaves, rebalances its
@@ -346,6 +366,24 @@ void HierarchicalSession::update_head_tier() {
   for (const std::uint32_t id : added) head_->queue_.push({EventType::kJoin, id});
   for (const std::uint32_t id : removed) head_->queue_.push({EventType::kLeave, id});
   head_->flush();
+}
+
+void HierarchicalSession::rekey_rings(const std::vector<std::uint32_t>& heads) {
+  OBS_SPAN_ARG("cluster.rekey_rings", "cluster", heads.size());
+  if (heads.empty()) throw std::logic_error("rekey_rings: no ring below was rekeyed");
+  for (const std::uint32_t id : heads) {
+    if (!contains(id)) throw std::logic_error("rekey_rings: rekeyed head matches no ring");
+  }
+  for (auto& cluster : clusters_) {
+    if (std::none_of(heads.begin(), heads.end(),
+                     [&](std::uint32_t id) { return cluster->contains(id); })) {
+      continue;
+    }
+    if (!cluster->form().success) throw std::runtime_error("rekey_rings: tier rekey failed");
+    rekeyed_.push_back(cluster.get());
+  }
+  update_head_tier();
+  rekey_and_distribute();
 }
 
 void HierarchicalSession::rebuild_head_tier(std::vector<std::uint32_t> heads) {

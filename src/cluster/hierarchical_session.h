@@ -17,7 +17,10 @@
 // perform only symmetric decryptions, never an extra exponentiation.
 //
 // Membership events stay cluster-local: a leave rekeys one leaf ring
-// (O(cluster) work) plus the tier path above it, instead of O(n).
+// (O(cluster) work) plus the tier path above it, instead of O(n). While a
+// tier's own membership is unchanged it re-forms only the rings holding the
+// heads of the clusters rekeyed below it, one ring per tier for a single
+// leaf event.
 // Clusters split when they outgrow max_cluster and are merged into a
 // neighbour when they underflow min_cluster, so the bound holds under
 // arbitrary churn — at every tier, because each tier applies the same
@@ -138,6 +141,13 @@ class HierarchicalSession {
   void apply_joins(const std::vector<std::uint32_t>& joiner_ids, EventSummary& summary);
   void rebalance(EventSummary& summary);
   void update_head_tier();
+  /// Rekey of a tier whose membership is unchanged: re-forms the rings
+  /// holding `heads` (heads of clusters rekeyed one tier down), recurses
+  /// upward with their heads and re-seals downward. Throws when a head
+  /// matches no ring.
+  void rekey_rings(const std::vector<std::uint32_t>& heads);
+  /// Drops cluster `index` (merged into a neighbour) from clusters_.
+  void erase_cluster(std::size_t index);
   void rebuild_head_tier(std::vector<std::uint32_t> heads);
   void retire_member(std::uint32_t id, const energy::Ledger& ledger);
   void rekey_and_distribute();
@@ -164,6 +174,9 @@ class HierarchicalSession {
   /// key). One cluster (a ring) while the heads fit max_cluster, sharded
   /// into heads-of-heads beyond that; crossing the bound rebuilds it.
   std::unique_ptr<HierarchicalSession> head_;
+  /// Clusters that ran a protocol since the last update_head_tier(): their
+  /// heads are the rings the tier above must re-form.
+  std::vector<const gka::GroupSession*> rekeyed_;
 
   EventQueue queue_;
   NetworkHook network_hook_;

@@ -236,6 +236,105 @@ TEST(DepthKTest, HeadHandoverRebuildsTwoHeadRing) {
   }
 }
 
+// A plain member's leave re-forms its own leaf ring and one ring per tier
+// above it, not every ring of a sharded tier: only the members of those
+// rings spend an exponentiation.
+TEST(DepthKTest, NonHeadLeaveRekeysOnlyTheTierPath) {
+  HierarchicalSession session(tiny_authority(), deep_config(), make_ids(60), /*seed=*/37);
+  ASSERT_TRUE(session.form().success);
+  ASSERT_GE(session.depth(), 3U);
+  // Tier 2 is sharded into several rings, so a whole-tier re-form would
+  // reach far more members than the path.
+  ASSERT_GT(session.tier_sizes()[1], 2 * deep_config().max_cluster);
+
+  // Members are listed cluster by cluster: take the second member of the
+  // first cluster of at least three, whose survivors stay one ring.
+  const std::vector<std::uint32_t> ids = session.member_ids();
+  const std::vector<std::size_t> sizes = session.cluster_sizes();
+  std::size_t offset = 0;
+  std::size_t ring = 0;
+  while (sizes[ring] < 3) offset += sizes[ring++];
+  const std::uint32_t leaver = ids[offset + 1];
+  const std::size_t leaf_ring = sizes[ring];
+
+  std::map<std::uint32_t, std::uint64_t> exps;
+  for (const std::uint32_t id : ids) {
+    exps[id] = session.member_ledger(id).count(energy::Op::kModExp);
+  }
+  const std::size_t depth = session.depth();
+  const BigInt before = session.group_key();
+  ASSERT_TRUE(session.leave(leaver).success);
+  ASSERT_EQ(session.depth(), depth);
+  EXPECT_NE(session.group_key(), before);
+  expect_consistent(session, "after path rekey");
+
+  std::size_t spent = 0;
+  for (const std::uint32_t id : session.member_ids()) {
+    if (session.member_ledger(id).count(energy::Op::kModExp) > exps.at(id)) ++spent;
+  }
+  EXPECT_GT(spent, 0U);
+  EXPECT_LE(spent, leaf_ring + (depth - 1) * deep_config().max_cluster);
+}
+
+// One flush mixes a head's leave (the tier's own membership changes) with
+// plain leaves and a join in clusters whose heads sit in other tier-2
+// rings; then churn crosses depth 3 <-> 4. Every step must leave all
+// members on one fresh key.
+TEST(DepthKTest, MixedBatchesAndDepthChurnKeepOneFreshKey) {
+  HierarchicalSession session(tiny_authority(), deep_config(), make_ids(60), /*seed=*/43);
+  ASSERT_TRUE(session.form().success);
+  ASSERT_GE(session.depth(), 3U);
+
+  const std::vector<std::uint32_t> ids = session.member_ids();
+  const std::vector<std::size_t> sizes = session.cluster_sizes();
+  const std::vector<std::uint32_t> heads = session.cluster_heads();
+  const std::size_t last = sizes.size() - 1;
+  BigInt before = session.group_key();
+  session.enqueue_leave(heads[sizes.size() / 2]);
+  session.enqueue_leave(ids[1]);                     // plain member of the first cluster
+  session.enqueue_leave(ids[ids.size() - sizes[last] + 1]);  // ... and of the last
+  session.enqueue_join(7000);
+  ASSERT_TRUE(session.flush().success);
+  EXPECT_NE(session.group_key(), before);
+  expect_consistent(session, "after mixed batch");
+
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&](std::size_t bound) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::size_t>((rng >> 33) % bound);
+  };
+  std::uint32_t next_id = 30000;
+  std::size_t min_depth = session.depth();
+  std::size_t max_depth = session.depth();
+  for (int phase = 0; phase < 2; ++phase) {
+    const bool grow = phase == 0;
+    while (grow ? session.size() < 100 : session.size() > 30) {
+      // Mostly growth (or shrinkage), with one event of the other kind so
+      // most batches mix joins and leaves.
+      std::vector<std::uint32_t> members = session.member_ids();
+      for (std::size_t i = 0, batch = 2 + next(5); i < batch; ++i) {
+        if ((i == 0) == grow) {
+          const std::size_t pick = next(members.size());
+          session.enqueue_leave(members[pick]);
+          members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+        } else {
+          session.enqueue_join(next_id++);
+        }
+      }
+      before = session.group_key();
+      ASSERT_TRUE(session.flush().success);
+      const std::string what = "phase " + std::to_string(phase) + " at n=" +
+                               std::to_string(session.size());
+      EXPECT_NE(session.group_key(), before) << what;
+      expect_consistent(session, what.c_str());
+      min_depth = std::min(min_depth, session.depth());
+      max_depth = std::max(max_depth, session.depth());
+    }
+  }
+  EXPECT_LE(min_depth, 3U);
+  EXPECT_GE(max_depth, 4U);
+}
+
 // Tree shape: every tier above the leaves except the top holds more than
 // max_cluster members (so it had to be sharded), and the top tier fits one
 // ring of at most max_cluster.
