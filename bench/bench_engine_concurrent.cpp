@@ -53,21 +53,26 @@ constexpr int kReps = 5;
 
 sim::MultiGroupConfig make_config(std::uint64_t seed, std::size_t members) {
   sim::MultiGroupConfig cfg;
-  cfg.name = "engine_concurrent";
   cfg.groups = kGroups;
-  cfg.topology = sim::Topology::kFlat;
-  cfg.profile = gka::SecurityProfile::kTiny;
-  cfg.members_per_group = members;
-  cfg.seed = seed;
   cfg.stagger_us = 500 * sim::kUsPerMs;  // overlapping, not identical, schedules
-  // Offsets: 0..members-1 initial members; >= members joiners.
-  cfg.trace = {
+  sim::ScenarioConfig& group = cfg.scenario;
+  group.name = "engine_concurrent";
+  group.topology = sim::Topology::kFlat;
+  group.profile = gka::SecurityProfile::kTiny;
+  group.initial_members = members;
+  group.seed = seed;
+  // Ids base_id .. base_id + members - 1 are the initial members; the
+  // joiner is the next one.
+  const std::uint32_t base = group.base_id;
+  group.trace = {
       {5 * sim::kUsPerSec, sim::TraceEvent::Kind::kJoin,
-       {static_cast<std::uint32_t>(members)}},
-      {10 * sim::kUsPerSec, sim::TraceEvent::Kind::kLeave, {3}},
-      {15 * sim::kUsPerSec, sim::TraceEvent::Kind::kPartition, {4, 5, 6}},
-      {20 * sim::kUsPerSec, sim::TraceEvent::Kind::kMerge, {4, 5, 6}},
+       {base + static_cast<std::uint32_t>(members)}},
+      {10 * sim::kUsPerSec, sim::TraceEvent::Kind::kLeave, {base + 3}},
+      {15 * sim::kUsPerSec, sim::TraceEvent::Kind::kPartition, {base + 4, base + 5, base + 6}},
+      {20 * sim::kUsPerSec, sim::TraceEvent::Kind::kMerge, {base + 4, base + 5, base + 6}},
   };
+  // Each group ends with its last operation: no idle tail.
+  group.duration_us = 20 * sim::kUsPerSec;
   return cfg;
 }
 
@@ -85,39 +90,34 @@ double run_sequential(const sim::MultiGroupConfig& cfg, bool& converged) {
   converged = true;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t g = 0; g < cfg.groups; ++g) {
-    gka::Authority authority(cfg.profile, cfg.authority_seed(g));
+    const sim::ScenarioConfig group = cfg.group(g);
+    gka::Authority authority(group.profile, cfg.authority_seed(g));
     sim::Scheduler scheduler;
-    sim::ProtocolDriver driver(scheduler, cfg.driver, cfg.driver_seed(g));
-    std::vector<std::uint32_t> ids(cfg.members_per_group);
+    sim::ProtocolDriver driver(scheduler, group.driver, cfg.driver_seed(g));
+    std::vector<std::uint32_t> ids(group.initial_members);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      ids[i] = cfg.group_base_id(g) + static_cast<std::uint32_t>(i);
+      ids[i] = group.base_id + static_cast<std::uint32_t>(i);
     }
-    gka::GroupSession session(authority, cfg.cluster.scheme, ids, cfg.session_seed(g));
+    gka::GroupSession session(authority, gka::Scheme::kProposed, ids, cfg.session_seed(g));
     driver.attach(session);
 
-    const sim::SimTime start = static_cast<sim::SimTime>(g) * cfg.stagger_us;
-    scheduler.run_until(start);
+    scheduler.run_until(static_cast<sim::SimTime>(g) * cfg.stagger_us);
     converged = converged && driver.form().success;
-    for (const sim::TraceEvent& event : cfg.trace) {
-      scheduler.run_until(event.at_us + start);
-      const std::uint32_t id = cfg.group_base_id(g) + event.ids.front();
-      std::vector<std::uint32_t> batch;
-      for (const std::uint32_t offset : event.ids) {
-        batch.push_back(cfg.group_base_id(g) + offset);
-      }
+    for (const sim::TraceEvent& event : group.trace) {
+      scheduler.run_until(event.at_us);
       sim::OpOutcome outcome;
       switch (event.kind) {
         case sim::TraceEvent::Kind::kJoin:
-          outcome = driver.join(id);
+          outcome = driver.join(event.ids.front());
           break;
         case sim::TraceEvent::Kind::kLeave:
-          outcome = driver.leave(id);
+          outcome = driver.leave(event.ids.front());
           break;
         case sim::TraceEvent::Kind::kPartition:
-          outcome = driver.partition(batch);
+          outcome = driver.partition(event.ids);
           break;
         case sim::TraceEvent::Kind::kMerge:
-          outcome = driver.admit(batch);
+          outcome = driver.admit(event.ids);
           break;
       }
       converged = converged && outcome.success;

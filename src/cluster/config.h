@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "gka/session.h"
-
 namespace idgka::cluster {
 
 struct ClusterConfig {
@@ -24,8 +22,6 @@ struct ClusterConfig {
   std::size_t max_cluster = 48;
   /// Enqueued events auto-flush into one rekey round at this queue depth.
   std::size_t batch_capacity = 32;
-  /// Protocol run inside every leaf cluster and in the head tier.
-  gka::Scheme scheme = gka::Scheme::kProposed;
   /// Observability dimension for this session's registry counters: when
   /// non-empty, rekeys and rekey retries are additionally counted as
   /// `cluster.rekeys{label}` / `cluster.rekey_retries{label}`. The sim

@@ -71,7 +71,7 @@ HierarchicalSession::HierarchicalSession(gka::Authority& authority, ClusterConfi
     std::vector<std::uint32_t> shard(it, it + static_cast<std::ptrdiff_t>(take));
     it += static_cast<std::ptrdiff_t>(take);
     clusters_.push_back(std::make_unique<gka::GroupSession>(
-        authority_, config_.scheme, std::move(shard), next_seed()));
+        authority_, gka::Scheme::kProposed, std::move(shard), next_seed()));
   }
 }
 
@@ -157,8 +157,8 @@ EventSummary HierarchicalSession::flush() {
 EventSummary HierarchicalSession::merge(HierarchicalSession& other) {
   OBS_SPAN_ARG("cluster.merge", "cluster", other.size());
   if (&other == this) throw std::invalid_argument("merge: cannot merge with self");
-  if (&other.authority_ != &authority_ || other.config_.scheme != config_.scheme) {
-    throw std::invalid_argument("merge: sessions must share authority and scheme");
+  if (&other.authority_ != &authority_) {
+    throw std::invalid_argument("merge: sessions must share the authority");
   }
   if (group_key_.is_zero() || other.group_key_.is_zero()) {
     throw std::logic_error("merge: both sessions must be formed");
@@ -177,8 +177,6 @@ EventSummary HierarchicalSession::merge(HierarchicalSession& other) {
   }
   other.clusters_.clear();
   if (other.head_) other.dissolve_head_tier();
-  retired_ += other.retired_;
-  other.retired_ = energy::Ledger{};
   for (const auto& [id, ledger] : other.retired_by_member_) retired_by_member_[id] += ledger;
   other.retired_by_member_.clear();
   other.member_view_.clear();
@@ -436,7 +434,6 @@ std::map<std::uint32_t, energy::Ledger> HierarchicalSession::lifetime_ledgers() 
 }
 
 void HierarchicalSession::retire_member(std::uint32_t id, const energy::Ledger& ledger) {
-  retired_ += ledger;
   retired_by_member_[id] += ledger;
 }
 
@@ -619,7 +616,7 @@ AggregateReport HierarchicalSession::report() const {
   AggregateReport rep;
   rep.members = size();
   rep.clusters = clusters_.size();
-  rep.total = retired_;
+  for (const auto& [id, ledger] : retired_by_member_) rep.total += ledger;
   for (const auto& cluster : clusters_) {
     for (const gka::MemberCtx& m : cluster->members()) rep.total += m.ledger;
     add_traffic(rep.traffic, cluster->network().total_stats());

@@ -74,7 +74,7 @@ class HierarchicalSession {
   EventSummary leave(std::uint32_t id);
   /// Batch departure (the paper's Partition, generalized across clusters).
   EventSummary partition(const std::vector<std::uint32_t>& leaver_ids);
-  /// Adopts every cluster of `other` wholesale (same authority / scheme
+  /// Adopts every cluster of `other` wholesale (same authority
   /// required), rebuilds the head tier and rekeys. `other` is drained.
   EventSummary merge(HierarchicalSession& other);
 
@@ -151,12 +151,12 @@ class HierarchicalSession {
   void rebuild_head_tier(std::vector<std::uint32_t> heads);
   void retire_member(std::uint32_t id, const energy::Ledger& ledger);
   void rekey_and_distribute();
-  /// Folds the tier's complete energy history into the retired pots and
+  /// Folds the tier's complete energy history into the retired ledgers and
   /// destroys it (tier collapse or rebuild).
   void dissolve_head_tier();
   /// Retired energy attributed to `id` at this tier and the tiers above
   /// (zero ledger when none) — lets an enclosing tier account a departed
-  /// head's history without reaching into private pots.
+  /// head's history without reaching into its private ledgers.
   [[nodiscard]] energy::Ledger retired_ledger(std::uint32_t id) const;
   /// Complete per-member energy accounting of this session: every current
   /// member's lifetime ledger plus every departed member's retired tenure,
@@ -185,10 +185,9 @@ class HierarchicalSession {
   /// Per-member decrypted view of the group key (tests verify consistency).
   std::map<std::uint32_t, BigInt> member_view_;
   /// Ledgers of departed members and of per-member state retired by cluster
-  /// splits / tier rebuilds — kept so report() stays a lifetime total.
-  energy::Ledger retired_;
-  /// The same retired energy attributed per node, so member_ledger() stays
-  /// monotonic across splits / tier rebuilds / rejoins (battery accounting).
+  /// splits / tier rebuilds, per node: report() sums them so it stays a
+  /// lifetime total, and member_ledger() stays monotonic across splits /
+  /// tier rebuilds / rejoins (battery accounting).
   std::map<std::uint32_t, energy::Ledger> retired_by_member_;
 #if IDGKA_OBS
   /// Labeled registry dimensions (`cluster.rekeys{config.label}` etc),

@@ -119,7 +119,7 @@ OpOutcome ProtocolDriver::timed(const char* label,
     outcome.end_us = run.now();
   };
   if (engine::ProtocolRun* run = engine::ProtocolRun::current()) {
-    // Already hosted (a multi-group scenario script): execute inline on
+    // Already hosted (a scenario's group script): execute inline on
     // the calling run; its awaits interleave with other registered runs.
     body(*run);
   } else {

@@ -22,7 +22,7 @@
 // engine::ProtocolRun. Called from a plain thread, the driver submits the
 // operation to its executor and drains it — the call stays synchronous and
 // virtual time advances inside it, exactly the seed behaviour. Called from
-// inside a run body (a multi-group scenario script), the operation executes
+// inside a run body (a scenario's group script), the operation executes
 // inline on the calling run, yielding at each await so the executor can
 // interleave many groups' rounds. The OpOutcome captures the operation's
 // start/end timestamps — the key-agreement latency the scenario metrics

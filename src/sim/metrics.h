@@ -77,7 +77,9 @@ struct Metrics {
 
   /// Crypto work performed by the run (mpint::op_counts deltas, covering
   /// authority setup + every protocol execution) — separates big-integer
-  /// cost from event-loop cost in bench trajectories.
+  /// cost from event-loop cost in bench trajectories. The counters are
+  /// process-wide, so a group of a multi-group run reports 0 here and
+  /// MultiGroupMetrics carries the run's total.
   std::uint64_t crypto_exps = 0;
   std::uint64_t crypto_mod_muls = 0;
   std::uint64_t crypto_mod_sqrs = 0;

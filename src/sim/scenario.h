@@ -1,9 +1,12 @@
 // Declarative scenario runner: churn traces + mobility over the sim engine.
 //
-// A Scenario owns everything a run needs — authority, session (flat or
-// hierarchical), scheduler, timed driver, batteries — so a run is a pure
-// function of its config: two runs of the same config emit bit-identical
-// metrics JSON.
+// A scenario is one group: its own authority, session (flat or
+// hierarchical), timed driver, batteries and mobility field, so a run is a
+// pure function of its config: two runs of the same config emit
+// bit-identical metrics JSON. The group runs as one engine::ProtocolRun
+// script: form, then play the churn in timestamp order up to duration_us,
+// then idle out the clock. A multi-group run hosts N copies of that same
+// script on one executor.
 //
 // Membership churn comes from two composable sources, applied in timestamp
 // order:
@@ -60,6 +63,7 @@ struct ScenarioConfig {
   Topology topology = Topology::kHierarchical;
   gka::SecurityProfile profile = gka::SecurityProfile::kTiny;
   std::size_t initial_members = 16;
+  /// Initial members are base_id, base_id + 1, ...
   std::uint32_t base_id = 1000;
   std::uint64_t seed = 1;
   SimTime duration_us = 60 * kUsPerSec;
@@ -67,8 +71,8 @@ struct ScenarioConfig {
   bool stop_on_first_death = false;
 
   DriverConfig driver;
-  /// Hierarchical sharding knobs; `cluster.scheme` also selects the flat
-  /// scheme.
+  /// Hierarchical sharding knobs. Every session, flat or hierarchical,
+  /// runs the proposed scheme.
   cluster::ClusterConfig cluster;
   PowerConfig power;
   WaypointConfig waypoint;
@@ -87,58 +91,44 @@ class ScenarioRunner {
   ScenarioConfig cfg_;
 };
 
-/// Multi-group scenario: M independent clusters — each with its own
-/// authority, session, timed driver and link RNG — run overlapping churn
-/// traces on ONE virtual clock. Every group is an engine::ProtocolRun on a
-/// shared Executor, so rounds of different groups interleave by
-/// virtual-time events (and execute in parallel across the worker pool
-/// when their wakes coincide). Results are deterministic under the seed
-/// for any IDGKA_THREADS value: each group owns all of its mutable state,
-/// and the shared clock orders wakes FIFO per timestamp.
+/// Id-space stride between the groups of a multi-group run: group g's ids
+/// are the template's ids plus g * kGroupIdStride.
+inline constexpr std::uint32_t kGroupIdStride = 100'000;
+
+/// Multi-group scenario: `groups` copies of one scenario template, each
+/// with its own authority, session, driver, batteries and RNG streams, run
+/// on ONE virtual clock. Every group is the scenario script as an
+/// engine::ProtocolRun on a shared Executor, so rounds of different groups
+/// interleave by virtual-time events (and execute in parallel across the
+/// worker pool when their wakes coincide). Results are deterministic under
+/// the seed for any IDGKA_THREADS value: each group owns all of its mutable
+/// state, and the shared clock orders wakes FIFO per timestamp.
 struct MultiGroupConfig {
-  std::string name = "multi";
+  /// The template. Its ids (initial members and trace) must lie in
+  /// [base_id, base_id + kGroupIdStride). Group g is the template named
+  /// "<name>/g<g>", its ids shifted by g * kGroupIdStride, and its start,
+  /// trace and duration_us shifted by g * stagger_us — overlapping rather
+  /// than identical schedules across groups.
+  ScenarioConfig scenario;
   std::size_t groups = 4;
-  Topology topology = Topology::kFlat;
-  gka::SecurityProfile profile = gka::SecurityProfile::kTiny;
-  std::size_t members_per_group = 8;
-  std::uint32_t base_id = 1000;
-  /// Id-space stride between groups: group g's members start at
-  /// base_id + g * id_stride. Must comfortably exceed members_per_group
-  /// plus any joiner offsets used in the trace.
-  std::uint32_t id_stride = 100'000;
-  std::uint64_t seed = 1;
-
-  DriverConfig driver;
-  /// Hierarchical sharding knobs; `cluster.scheme` also selects the flat
-  /// scheme.
-  cluster::ClusterConfig cluster;
-
-  /// Template churn trace every group runs in its own id space: event ids
-  /// are OFFSETS (offset < members_per_group names an initial member;
-  /// larger offsets name joiners), mapped to base_id + g*id_stride +
-  /// offset for group g. Sorted by at_us internally (stable).
-  std::vector<TraceEvent> trace;
-  /// Group g starts (forms and fires its trace) shifted by g * stagger_us
-  /// — overlapping rather than identical schedules across groups.
   SimTime stagger_us = 0;
 
-  // --- Per-group derivations (single source of truth; the concurrency
+  /// Group g's scenario (see `scenario`).
+  [[nodiscard]] ScenarioConfig group(std::size_t g) const;
+
+  // --- Per-group seed derivations (single source of truth; the concurrency
   // --- bench replays these to build its sequential baseline, so the two
   // --- legs run identical RNG streams) ---
   /// Distinct authority parameters/credentials per group.
   [[nodiscard]] std::uint64_t authority_seed(std::size_t g) const {
-    return seed + 0x9e3779b97f4a7c15ULL * (g + 1);
+    return scenario.seed + 0x9e3779b97f4a7c15ULL * (g + 1);
   }
   /// Link-model RNG stream of group g's driver.
   [[nodiscard]] std::uint64_t driver_seed(std::size_t g) const {
-    return seed ^ (0x6d67727670ULL + g);
+    return scenario.seed ^ (0x6d67727670ULL + g);
   }
-  /// Member-DRBG seed of group g's session.
-  [[nodiscard]] std::uint64_t session_seed(std::size_t g) const { return seed + g; }
-  /// First member id of group g's id space.
-  [[nodiscard]] std::uint32_t group_base_id(std::size_t g) const {
-    return base_id + static_cast<std::uint32_t>(g) * id_stride;
-  }
+  /// Member-DRBG seed of group g's session (and, mixed, its mobility RNG).
+  [[nodiscard]] std::uint64_t session_seed(std::size_t g) const { return scenario.seed + g; }
 };
 
 class MultiGroupRunner {

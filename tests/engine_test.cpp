@@ -356,18 +356,21 @@ TEST(EngineDriver, ResumeOnArrivalShortensLatencyNotOutcomes) {
 
 sim::MultiGroupConfig small_multi() {
   sim::MultiGroupConfig cfg;
-  cfg.name = "engine_multi";
   cfg.groups = 3;
-  cfg.topology = sim::Topology::kFlat;
-  cfg.members_per_group = 6;
-  cfg.seed = 99;
   cfg.stagger_us = 15'000;  // overlapping, not identical, schedules
-  // Offsets: 0..5 initial members, >= 6 joiners.
-  cfg.trace = {
-      {sim::SimTime{200'000}, sim::TraceEvent::Kind::kJoin, {6}},
-      {sim::SimTime{400'000}, sim::TraceEvent::Kind::kLeave, {1}},
-      {sim::SimTime{600'000}, sim::TraceEvent::Kind::kPartition, {2, 3}},
-      {sim::SimTime{800'000}, sim::TraceEvent::Kind::kMerge, {2, 3}},
+  sim::ScenarioConfig& group = cfg.scenario;
+  group.name = "engine_multi";
+  group.topology = sim::Topology::kFlat;
+  group.initial_members = 6;
+  group.base_id = 1000;
+  group.seed = 99;
+  group.duration_us = 800'000;
+  // 1000..1005 are the initial members, 1006 a joiner.
+  group.trace = {
+      {sim::SimTime{200'000}, sim::TraceEvent::Kind::kJoin, {1006}},
+      {sim::SimTime{400'000}, sim::TraceEvent::Kind::kLeave, {1001}},
+      {sim::SimTime{600'000}, sim::TraceEvent::Kind::kPartition, {1002, 1003}},
+      {sim::SimTime{800'000}, sim::TraceEvent::Kind::kMerge, {1002, 1003}},
   };
   return cfg;
 }
@@ -383,7 +386,10 @@ TEST(MultiGroup, ConcurrentGroupsConvergeAndInterleave) {
     EXPECT_EQ(g.rekeys_attempted, 4U) << g.scenario;
     EXPECT_EQ(g.rekeys_completed, 4U) << g.scenario;
     EXPECT_EQ(g.members_final, 6U) << g.scenario;  // 6 +1 -1 -2 +2
+    // Every group runs the scenario script with its own batteries.
+    EXPECT_GT(g.energy_total_mj, 0.0) << g.scenario;
   }
+  EXPECT_EQ(metrics.per_group[2].scenario, "engine_multi/g2");
   EXPECT_TRUE(metrics.all_groups_agree());
   EXPECT_EQ(metrics.rekeys_attempted(), 12U);
   EXPECT_DOUBLE_EQ(metrics.convergence(), 1.0);
@@ -405,23 +411,25 @@ TEST(MultiGroup, SameSeedBitIdenticalJson) {
 TEST(MultiGroup, DifferentSeedsDiverge) {
   sim::MultiGroupConfig cfg = small_multi();
   const std::string a = sim::MultiGroupRunner(cfg).run().to_json();
-  cfg.seed = 100;
+  cfg.scenario.seed = 100;
   const std::string b = sim::MultiGroupRunner(cfg).run().to_json();
   EXPECT_NE(a, b);
 }
 
 TEST(MultiGroup, HierarchicalGroupsRunConcurrently) {
   sim::MultiGroupConfig cfg;
-  cfg.name = "engine_multi_hier";
   cfg.groups = 2;
-  cfg.topology = sim::Topology::kHierarchical;
-  cfg.members_per_group = 12;
-  cfg.cluster.min_cluster = 3;
-  cfg.cluster.max_cluster = 6;
-  cfg.seed = 7;
-  cfg.trace = {
-      {sim::SimTime{300'000}, sim::TraceEvent::Kind::kJoin, {12}},
-      {sim::SimTime{500'000}, sim::TraceEvent::Kind::kLeave, {2}},
+  sim::ScenarioConfig& group = cfg.scenario;
+  group.name = "engine_multi_hier";
+  group.topology = sim::Topology::kHierarchical;
+  group.initial_members = 12;
+  group.cluster.min_cluster = 3;
+  group.cluster.max_cluster = 6;
+  group.seed = 7;
+  group.duration_us = 500'000;
+  group.trace = {
+      {sim::SimTime{300'000}, sim::TraceEvent::Kind::kJoin, {1012}},
+      {sim::SimTime{500'000}, sim::TraceEvent::Kind::kLeave, {1002}},
   };
   const sim::MultiGroupMetrics metrics = sim::MultiGroupRunner(cfg).run();
   ASSERT_EQ(metrics.per_group.size(), 2U);
@@ -429,6 +437,7 @@ TEST(MultiGroup, HierarchicalGroupsRunConcurrently) {
     EXPECT_TRUE(g.form_success) << g.scenario;
     EXPECT_TRUE(g.all_members_agree) << g.scenario;
     EXPECT_GT(g.clusters_final, 1U) << g.scenario;
+    EXPECT_GT(g.energy_total_mj, 0.0) << g.scenario;
   }
   EXPECT_GE(metrics.max_concurrent_runs, 2U);
 }

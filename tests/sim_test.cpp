@@ -435,5 +435,72 @@ TEST(Scenario, BatteryDepletionStopsLifetimeRun) {
   EXPECT_GT(metrics.energy_total_mj, 0.0);
 }
 
+// ------------------------------------------------------------- Multi-group
+
+TEST(MultiGroup, GroupIsTheShiftedTemplate) {
+  MultiGroupConfig cfg;
+  cfg.scenario = churn_scenario();
+  cfg.stagger_us = 3 * kUsPerSec;
+  const ScenarioConfig g2 = cfg.group(2);
+  EXPECT_EQ(g2.name, "determinism/g2");
+  EXPECT_EQ(g2.base_id, 1000U + 2 * kGroupIdStride);
+  EXPECT_EQ(g2.duration_us, cfg.scenario.duration_us + 6 * kUsPerSec);
+  ASSERT_EQ(g2.trace.size(), cfg.scenario.trace.size());
+  EXPECT_EQ(g2.trace[3].at_us, 46 * kUsPerSec);
+  EXPECT_EQ(g2.trace[3].ids, (std::vector<std::uint32_t>{1004 + 2 * kGroupIdStride,
+                                                         1005 + 2 * kGroupIdStride,
+                                                         1006 + 2 * kGroupIdStride}));
+  EXPECT_EQ(cfg.group(0).name, "determinism/g0");
+  EXPECT_EQ(cfg.group(0).trace[0].ids, cfg.scenario.trace[0].ids);
+}
+
+TEST(MultiGroup, BatteryDepletionStopsEveryGroup) {
+  MultiGroupConfig cfg;
+  cfg.groups = 2;
+  cfg.stagger_us = kUsPerSec;
+  ScenarioConfig& group = cfg.scenario;
+  group.name = "multi_lifetime";
+  group.topology = Topology::kFlat;
+  group.initial_members = 6;
+  group.seed = 3;
+  group.duration_us = 600 * kUsPerSec;
+  group.stop_on_first_death = true;
+  group.power.capacity_mj = 1.0;  // far below one GKA's radio cost
+  group.power.idle_mw = 1.0;
+  const MultiGroupMetrics metrics = MultiGroupRunner(cfg).run();
+  ASSERT_EQ(metrics.per_group.size(), 2U);
+  for (std::size_t g = 0; g < 2; ++g) {
+    const Metrics& m = metrics.per_group[g];
+    EXPECT_TRUE(m.form_success) << m.scenario;
+    EXPECT_GE(m.deaths, 1U) << m.scenario;
+    ASSERT_TRUE(m.first_death_us.has_value()) << m.scenario;
+    // Group g forms at g * stagger_us, so it cannot die before that.
+    EXPECT_GE(*m.first_death_us, g * cfg.stagger_us) << m.scenario;
+    EXPECT_LT(m.end_time_us, cfg.group(g).duration_us) << m.scenario;
+    EXPECT_GT(m.energy_total_mj, 0.0) << m.scenario;
+  }
+}
+
+TEST(MultiGroup, TemplateIdsOutsideTheGroupStrideThrow) {
+  const auto config_with = [](std::vector<std::uint32_t> ids) {
+    MultiGroupConfig cfg;
+    cfg.scenario.base_id = 1000;
+    cfg.scenario.initial_members = 4;
+    cfg.scenario.trace = {{kUsPerSec, TraceEvent::Kind::kMerge, std::move(ids)}};
+    return cfg;
+  };
+  EXPECT_NO_THROW(MultiGroupRunner(config_with({1000, 1000 + kGroupIdStride - 1})));
+  EXPECT_THROW(MultiGroupRunner(config_with({1000 + kGroupIdStride})), std::invalid_argument);
+  EXPECT_THROW(MultiGroupRunner(config_with({999})), std::invalid_argument);
+
+  MultiGroupConfig too_many = config_with({1001});
+  too_many.scenario.initial_members = kGroupIdStride + 1;
+  EXPECT_THROW(MultiGroupRunner(std::move(too_many)), std::invalid_argument);
+
+  MultiGroupConfig no_groups = config_with({1001});
+  no_groups.groups = 0;
+  EXPECT_THROW(MultiGroupRunner(std::move(no_groups)), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace idgka::sim
