@@ -16,7 +16,9 @@
 //     mod_inverse and gcd against a reference extended Euclid at
 //     192/1024/2048 bits (gate: <= 1 heap alloc per inverse, its result),
 //     and times SHA-256, a 160-bit HMAC-DRBG draw and AES-128-CBC
-//     decryption (no gate).
+//     decryption (no gate). Each speedup bar times its two sides in
+//     alternating reps and gates on the median of the per-rep ratios, so
+//     host load during one rep moves both sides of that rep's ratio.
 //
 //  2. The Google-Benchmark microsuite (windowed Montgomery vs naive
 //     square-and-multiply, Karatsuba crossover, mod-mul, inverse). Runs only
@@ -24,6 +26,7 @@
 //       ./bench_ablation_mpint --benchmark_filter=.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -65,8 +68,7 @@ struct CryptoRow {
   std::size_t table_kib = 0;
   unsigned teeth = 0;
   std::uint64_t ctx_mod_muls_op = 0;  // deterministic mod-mul count per ctx.exp
-
-  [[nodiscard]] double speedup_fixed() const { return ctx_us / fixed_us; }
+  double speedup_fixed = 0.0;         // median paired ctx/fixed ratio (gated)
 };
 
 double us_since(std::chrono::steady_clock::time_point t0) {
@@ -74,18 +76,57 @@ double us_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Best-of-N per-op time: the gate below hard-fails CI, so each variant takes
-// the minimum over repetitions to shed scheduler noise on shared runners.
+template <typename F>
+double time_us(int iters, F&& body) {
+  const auto t0 = std::chrono::steady_clock::now();
+  body();
+  return us_since(t0) / iters;
+}
+
+// Best-of-N per-op time of an ungated variant: the minimum over repetitions
+// sheds scheduler noise on shared runners.
 template <typename F>
 double best_of(int reps, int iters, F&& body) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const double us = us_since(t0) / iters;
+    const double us = time_us(iters, body);
     if (r == 0 || us < best) best = us;
   }
   return best;
+}
+
+// Both sides of a gated speedup, timed in alternating reps (`base` first on
+// even reps, `fast` first on odd ones) so a burst of host load lands on both
+// sides of a ratio alike. The bar reads the median of the per-rep ratios
+// base/fast; each side's reported time is its best rep.
+struct Paired {
+  double base_us = 0.0;
+  double fast_us = 0.0;
+  double ratio = 0.0;
+};
+
+template <typename Base, typename Fast>
+Paired paired(int reps, int iters, Base&& base, Fast&& fast) {
+  Paired p;
+  std::vector<double> ratios;
+  for (int r = 0; r < reps; ++r) {
+    double base_us = 0.0;
+    double fast_us = 0.0;
+    if (r % 2 == 0) {
+      base_us = time_us(iters, base);
+      fast_us = time_us(iters, fast);
+    } else {
+      fast_us = time_us(iters, fast);
+      base_us = time_us(iters, base);
+    }
+    if (r == 0 || base_us < p.base_us) p.base_us = base_us;
+    if (r == 0 || fast_us < p.fast_us) p.fast_us = fast_us;
+    ratios.push_back(base_us / fast_us);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  p.ratio = ratios.size() % 2 == 1 ? ratios[mid] : (ratios[mid - 1] + ratios[mid]) / 2.0;
+  return p;
 }
 
 CryptoRow run_comparison(std::size_t bits, int iters, int reps) {
@@ -99,23 +140,27 @@ CryptoRow run_comparison(std::size_t bits, int iters, int reps) {
   for (int i = 0; i < iters; ++i) exps.push_back(mpint::random_bits(rng, bits));
 
   BigInt sink;
-  // Shared context, windowed exponentiation.
   const mpint::ModContext ctx(m);
-  row.ctx_us = best_of(reps, iters, [&] {
-    for (const BigInt& e : exps) sink = ctx.exp(g, e);
-    benchmark::DoNotOptimize(sink);
-  });
-
   // Fixed-base comb on top of the shared context.
   auto t0 = std::chrono::steady_clock::now();
   const mpint::FixedBaseTable table = ctx.make_fixed_base(g, bits);
   row.table_build_us = us_since(t0);
   row.table_kib = table.table_bytes() / 1024;
   row.teeth = table.teeth();
-  row.fixed_us = best_of(reps, iters, [&] {
-    for (const BigInt& e : exps) sink = ctx.exp(table, e);
-    benchmark::DoNotOptimize(sink);
-  });
+  // Shared context's windowed exponentiation against the comb.
+  const Paired p = paired(
+      reps, iters,
+      [&] {
+        for (const BigInt& e : exps) sink = ctx.exp(g, e);
+        benchmark::DoNotOptimize(sink);
+      },
+      [&] {
+        for (const BigInt& e : exps) sink = ctx.exp(table, e);
+        benchmark::DoNotOptimize(sink);
+      });
+  row.ctx_us = p.base_us;
+  row.fixed_us = p.fast_us;
+  row.speedup_fixed = p.ratio;
 
   // Cross-check: both paths must agree on the last exponent.
   if (ctx.exp(table, exps.back()) != ctx.exp(g, exps.back())) {
@@ -143,8 +188,7 @@ struct MultiExpRow {
   double joint_us = 0.0;  // one ctx.multi_exp call
   std::uint64_t seq_mod_muls = 0;    // deterministic counts for one op
   std::uint64_t joint_mod_muls = 0;
-
-  [[nodiscard]] double speedup() const { return seq_us / joint_us; }
+  double speedup = 0.0;  // median paired seq/joint ratio (gated)
 };
 
 MultiExpRow run_multi_exp(const char* engine, std::size_t arity, std::size_t mod_bits,
@@ -167,14 +211,19 @@ MultiExpRow run_multi_exp(const char* engine, std::size_t arity, std::size_t mod
   };
 
   BigInt sink;
-  row.seq_us = best_of(reps, iters, [&] {
-    for (int i = 0; i < iters; ++i) sink = sequential();
-    benchmark::DoNotOptimize(sink);
-  });
-  row.joint_us = best_of(reps, iters, [&] {
-    for (int i = 0; i < iters; ++i) sink = ctx.multi_exp(bases, exps);
-    benchmark::DoNotOptimize(sink);
-  });
+  const Paired p = paired(
+      reps, iters,
+      [&] {
+        for (int i = 0; i < iters; ++i) sink = sequential();
+        benchmark::DoNotOptimize(sink);
+      },
+      [&] {
+        for (int i = 0; i < iters; ++i) sink = ctx.multi_exp(bases, exps);
+        benchmark::DoNotOptimize(sink);
+      });
+  row.seq_us = p.base_us;
+  row.joint_us = p.fast_us;
+  row.speedup = p.ratio;
 
   // Deterministic mod-mul counts for one op of each flavour, and the
   // equivalence cross-check that makes the wall-clock race meaningful.
@@ -204,8 +253,7 @@ struct ResidueRow {
   double mul_us = 0.0;           // ctx.mul(a, b, out) — general multiply kernel
   double sqr_us = 0.0;           // ctx.sqr(a, out) — dedicated squaring kernel
   double exp_allocs_per_op = 0.0;  // heap allocations per steady-state ctx.exp
-
-  [[nodiscard]] double speedup_sqr() const { return mul_us / sqr_us; }
+  double speedup_sqr = 0.0;        // median paired mul/sqr ratio (gated)
 };
 
 ResidueRow run_residue_kernels(std::size_t bits, int iters, int reps) {
@@ -235,16 +283,21 @@ ResidueRow run_residue_kernels(std::size_t bits, int iters, int reps) {
   // Chained in place so every iteration sees a fresh operand; both loops pay
   // the same per-call counter fold, so the ratio isolates the kernels.
   mpint::Residue acc(ctx);
-  row.mul_us = best_of(reps, iters, [&] {
-    acc = a;
-    for (int i = 0; i < iters; ++i) ctx.mul(acc, b, acc);
-    benchmark::DoNotOptimize(acc);
-  });
-  row.sqr_us = best_of(reps, iters, [&] {
-    acc = a;
-    for (int i = 0; i < iters; ++i) ctx.sqr(acc, acc);
-    benchmark::DoNotOptimize(acc);
-  });
+  const Paired p = paired(
+      reps, iters,
+      [&] {
+        acc = a;
+        for (int i = 0; i < iters; ++i) ctx.mul(acc, b, acc);
+        benchmark::DoNotOptimize(acc);
+      },
+      [&] {
+        acc = a;
+        for (int i = 0; i < iters; ++i) ctx.sqr(acc, acc);
+        benchmark::DoNotOptimize(acc);
+      });
+  row.mul_us = p.base_us;
+  row.sqr_us = p.fast_us;
+  row.speedup_sqr = p.ratio;
 
   // Zero-allocation contract: after one warm-up exp (thread-local arena pool
   // grabbed, output residue sized), further exps must not touch the heap.
@@ -369,7 +422,7 @@ int run_crypto_bench() {
   rows.push_back(run_comparison(1024, 24, 5));
   for (const CryptoRow& r : rows) {
     std::printf("%6zu %12.1f %12.1f %8.2fx %10.1f %8zu\n", r.bits, r.ctx_us, r.fixed_us,
-                r.speedup_fixed(), r.table_build_us, r.table_kib);
+                r.speedup_fixed, r.table_build_us, r.table_kib);
   }
 
   std::printf("\n=== Joint multi-exponentiation vs sequential exp chains ===\n");
@@ -380,7 +433,7 @@ int run_crypto_bench() {
   multi.push_back(run_multi_exp("pippenger", 32, 1024, 256, 4, 5));
   for (const MultiExpRow& r : multi) {
     std::printf("%-10s %6zu %12.1f %12.1f %8.2fx %10llu %11llu\n", r.engine, r.arity,
-                r.seq_us, r.joint_us, r.speedup(),
+                r.seq_us, r.joint_us, r.speedup,
                 static_cast<unsigned long long>(r.seq_mod_muls),
                 static_cast<unsigned long long>(r.joint_mod_muls));
   }
@@ -393,7 +446,7 @@ int run_crypto_bench() {
   residue.push_back(run_residue_kernels(2048, 60000, 7));
   for (const ResidueRow& r : residue) {
     std::printf("%6zu %9s %12.4f %12.4f %8.2fx %14.2f\n", r.bits, r.kernel, r.mul_us,
-                r.sqr_us, r.speedup_sqr(), r.exp_allocs_per_op);
+                r.sqr_us, r.speedup_sqr, r.exp_allocs_per_op);
   }
 
   std::printf("\n=== Inversion: binary GCD core vs extended Euclid over divmod ===\n");
@@ -426,7 +479,7 @@ int run_crypto_bench() {
                   "\"speedup_fixed_base\":%.2f,\"comb_teeth\":%u,"
                   "\"table_kib\":%zu,\"table_build_us\":%.1f,"
                   "\"ctx_mod_muls_op\":%llu}",
-                  r.bits, r.ctx_us, r.fixed_us, r.speedup_fixed(), r.teeth, r.table_kib,
+                  r.bits, r.ctx_us, r.fixed_us, r.speedup_fixed, r.teeth, r.table_kib,
                   r.table_build_us,
                   static_cast<unsigned long long>(r.ctx_mod_muls_op));
     out << buf;
@@ -440,7 +493,7 @@ int run_crypto_bench() {
                   "{\"engine\":\"%s\",\"arity\":%zu,\"seq_us_op\":%.1f,"
                   "\"joint_us_op\":%.1f,\"speedup\":%.2f,"
                   "\"seq_mod_muls\":%llu,\"joint_mod_muls\":%llu}",
-                  r.engine, r.arity, r.seq_us, r.joint_us, r.speedup(),
+                  r.engine, r.arity, r.seq_us, r.joint_us, r.speedup,
                   static_cast<unsigned long long>(r.seq_mod_muls),
                   static_cast<unsigned long long>(r.joint_mod_muls));
     out << buf;
@@ -454,7 +507,7 @@ int run_crypto_bench() {
     std::snprintf(buf, sizeof buf,
                   "{\"bits\":%zu,\"mont_mul_us\":%.4f,\"mont_sqr_us\":%.4f,"
                   "\"mont_sqr_speedup\":%.2f,\"exp_allocs_per_op\":%.2f}",
-                  r.bits, r.mul_us, r.sqr_us, r.speedup_sqr(), r.exp_allocs_per_op);
+                  r.bits, r.mul_us, r.sqr_us, r.speedup_sqr, r.exp_allocs_per_op);
     out << buf;
   }
   out << "],\"inverse\":[";
@@ -482,7 +535,7 @@ int run_crypto_bench() {
   // Every bar is evaluated and printed, so one flaky timing bar cannot hide
   // the verdict of the others (the deterministic allocation bars included).
   int rc = 0;
-  const double gate = rows.back().speedup_fixed();
+  const double gate = rows.back().speedup_fixed;
   if (gate < 2.5) {
     std::printf("FAILED: 1024-bit fixed-base speedup over the ladder %.2fx < 2.5x "
                 "acceptance bar\n",
@@ -492,28 +545,28 @@ int run_crypto_bench() {
     std::printf("1024-bit fixed-base speedup over the ladder %.2fx >= 2.5x acceptance bar\n",
                 gate);
   }
-  if (multi[0].speedup() < 1.5) {
+  if (multi[0].speedup < 1.5) {
     std::printf("FAILED: arity-4 joint multi-exp %.2fx < 1.5x acceptance bar\n",
-                multi[0].speedup());
+                multi[0].speedup);
     rc = 1;
   } else {
-    std::printf("arity-4 joint multi-exp %.2fx >= 1.5x acceptance bar\n", multi[0].speedup());
+    std::printf("arity-4 joint multi-exp %.2fx >= 1.5x acceptance bar\n", multi[0].speedup);
   }
-  if (multi[1].speedup() < 2.0) {
+  if (multi[1].speedup < 2.0) {
     std::printf("FAILED: width-32 bucket multi-exp %.2fx < 2x acceptance bar\n",
-                multi[1].speedup());
+                multi[1].speedup);
     rc = 1;
   } else {
-    std::printf("width-32 bucket multi-exp %.2fx >= 2x acceptance bar\n", multi[1].speedup());
+    std::printf("width-32 bucket multi-exp %.2fx >= 2x acceptance bar\n", multi[1].speedup);
   }
   for (const ResidueRow& r : residue) {
-    if (r.speedup_sqr() < 1.25) {
+    if (r.speedup_sqr < 1.25) {
       std::printf("FAILED: %zu-bit mont_sqr %.2fx < 1.25x acceptance bar\n", r.bits,
-                  r.speedup_sqr());
+                  r.speedup_sqr);
       rc = 1;
     } else {
       std::printf("%zu-bit mont_sqr %.2fx >= 1.25x acceptance bar\n", r.bits,
-                  r.speedup_sqr());
+                  r.speedup_sqr);
     }
     if (r.exp_allocs_per_op != 0.0) {
       std::printf("FAILED: %zu-bit steady-state exp performs %.2f heap allocs/op (want 0)\n",

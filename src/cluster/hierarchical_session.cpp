@@ -530,14 +530,6 @@ const BigInt& HierarchicalSession::group_key() const {
   return group_key_;
 }
 
-const BigInt& HierarchicalSession::member_key_view(std::uint32_t id) const {
-  const auto it = member_view_.find(id);
-  if (it == member_view_.end()) {
-    throw std::invalid_argument("HierarchicalSession: no key view for id");
-  }
-  return it->second;
-}
-
 bool HierarchicalSession::all_members_agree() const {
   if (group_key_.is_zero() || member_view_.size() != size()) return false;
   return std::all_of(member_view_.begin(), member_view_.end(),

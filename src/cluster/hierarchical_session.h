@@ -90,10 +90,9 @@ class HierarchicalSession {
   // --- Introspection ---
   /// The authoritative group key (derived from the tier's key).
   [[nodiscard]] const BigInt& group_key() const;
-  /// The group key as decrypted by one member from its head's rekey
-  /// broadcast — what the member would actually encrypt traffic with.
-  [[nodiscard]] const BigInt& member_key_view(std::uint32_t id) const;
-  /// True when every current member's decrypted view equals group_key().
+  /// True when every current member's view of the key — decrypted from
+  /// its head's rekey broadcast, what it would actually encrypt traffic
+  /// with — equals group_key().
   [[nodiscard]] bool all_members_agree() const;
 
   [[nodiscard]] std::size_t size() const;

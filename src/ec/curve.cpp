@@ -3,8 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "mpint/prime.h"
-
 namespace idgka::ec {
 
 Curve::Curve(std::string name, BigInt p, BigInt a, BigInt b, Point g, BigInt n, BigInt h)
@@ -160,7 +158,6 @@ Point Curve::add(const Point& p1, const Point& p2) const {
   return from_jac(jac_add(to_jac(p1), to_jac(p2)));
 }
 
-Point Curve::dbl(const Point& pt) const { return from_jac(jac_dbl(to_jac(pt))); }
 
 Point Curve::mul(const BigInt& k_in, const Point& pt) const {
   return mul_raw(k_in.mod(n_), pt);
@@ -244,73 +241,6 @@ const Curve& p256() {
     return Curve("P-256", p, a, b, g, n, BigInt{1});
   }();
   return curve;
-}
-
-Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
-  if (bits < 8 || bits > 28) {
-    throw std::invalid_argument("generate_toy_curve: bits must be in [8, 28]");
-  }
-  const BigInt p = mpint::generate_prime(rng, bits, 24);
-  const mpint::ModContext fctx(p);
-  const std::uint64_t pu = p.low_u64();
-  while (true) {
-    const std::uint64_t a = mpint::random_below(rng, p).low_u64();
-    const std::uint64_t b = mpint::random_below(rng, p).low_u64();
-    // Reject singular curves: 4a^3 + 27b^2 == 0 mod p.
-    const unsigned __int128 disc =
-        (static_cast<unsigned __int128>(4) * a % pu * a % pu * a +
-         static_cast<unsigned __int128>(27) * b % pu * b) % pu;
-    if (disc == 0) continue;
-
-    // Count points directly: infinity + (2 per quadratic-residue RHS,
-    // 1 per zero RHS). Equivalent to #E = p + 1 + sum_x chi(x^3+ax+b).
-    std::uint64_t count = 1;
-    std::uint64_t first_x = 0;
-    bool have_point = false;
-    std::uint64_t first_y = 0;
-    for (std::uint64_t x = 0; x < pu; ++x) {
-      const unsigned __int128 rhs128 =
-          ((static_cast<unsigned __int128>(x) * x % pu * x) +
-           (static_cast<unsigned __int128>(a) * x) + b) % pu;
-      const std::uint64_t rhs = static_cast<std::uint64_t>(rhs128);
-      if (rhs == 0) {
-        ++count;  // one point with y == 0
-        continue;
-      }
-      const int chi = mpint::jacobi(BigInt{rhs}, p);
-      if (chi == 1) {
-        count += 2;
-        if (!have_point) {
-          BigInt root;
-          // p was chosen freely; only use sqrt when p % 4 == 3, otherwise
-          // search y directly (p is tiny).
-          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(fctx, BigInt{rhs}, root)) {
-            first_x = x;
-            first_y = root.low_u64();
-            have_point = true;
-          } else if ((pu & 3U) != 3U) {
-            for (std::uint64_t y = 1; y < pu; ++y) {
-              if (static_cast<unsigned __int128>(y) * y % pu == rhs) {
-                first_x = x;
-                first_y = y;
-                have_point = true;
-                break;
-              }
-            }
-          }
-        }
-      }
-    }
-    const BigInt order{count};
-    if (!have_point) continue;
-    if (!mpint::is_probable_prime(order, rng, 24)) continue;
-
-    const Point g{BigInt{first_x}, BigInt{first_y}, false};
-    Curve curve("toy" + std::to_string(bits), p, BigInt{a}, BigInt{b}, g, order, BigInt{1});
-    // Sanity: n*G == O.
-    if (!curve.mul(order, g).infinity) continue;
-    return curve;
-  }
 }
 
 }  // namespace idgka::ec

@@ -57,8 +57,6 @@ class Curve {
 
   /// Point addition (complete for distinct/equal/infinity operands).
   [[nodiscard]] Point add(const Point& p1, const Point& p2) const;
-  /// Point doubling.
-  [[nodiscard]] Point dbl(const Point& pt) const;
   /// Additive inverse.
   [[nodiscard]] Point neg(const Point& pt) const;
   /// Scalar multiplication k*P, k any sign (negative k uses -P).
@@ -97,10 +95,5 @@ class Curve {
 [[nodiscard]] const Curve& secp160r1();
 /// NIST P-256 — a modern reference point for the ablation benches.
 [[nodiscard]] const Curve& p256();
-
-/// Brute-force-counted toy curve with prime order over a `bits`-bit prime
-/// (bits <= 28). Used to run very large simulated groups where operation
-/// *counts*, not cryptographic strength, are what the energy model consumes.
-[[nodiscard]] Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits);
 
 }  // namespace idgka::ec

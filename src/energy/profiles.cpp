@@ -111,14 +111,6 @@ double ledger_compute_mj(const Ledger& ledger, const CpuProfile& cpu) {
   return total;
 }
 
-double ledger_compute_ms(const Ledger& ledger, const CpuProfile& cpu) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < kOpCount; ++i) {
-    total += static_cast<double>(ledger.counts[i]) * cpu.op_ms[i];
-  }
-  return total;
-}
-
 double ledger_comm_mj(const Ledger& ledger, const RadioProfile& radio) {
   return (static_cast<double>(ledger.tx_bits) * radio.tx_uj_per_bit +
           static_cast<double>(ledger.rx_bits) * radio.rx_uj_per_bit) /

@@ -59,8 +59,6 @@ struct Extrapolated {
 [[nodiscard]] double ledger_compute_mj(const Ledger& ledger, const CpuProfile& cpu);
 /// Communication-only energy (mJ).
 [[nodiscard]] double ledger_comm_mj(const Ledger& ledger, const RadioProfile& radio);
-/// Computation time (ms) on the given CPU.
-[[nodiscard]] double ledger_compute_ms(const Ledger& ledger, const CpuProfile& cpu);
 
 /// Paper Table 3 item sizes (bits) used for message accounting.
 namespace wire {

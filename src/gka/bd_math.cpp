@@ -45,14 +45,4 @@ bool lemma1_holds(const GroupCtx& grp, std::span<const BigInt> x) {
   return grp.p.product(x).is_one();
 }
 
-BigInt direct_key(const GroupCtx& grp, std::span<const BigInt> r) {
-  const std::size_t n = r.size();
-  if (n < 2) throw std::invalid_argument("bd::direct_key: need at least 2 members");
-  BigInt exp{};
-  for (std::size_t i = 0; i < n; ++i) {
-    exp = (exp + r[i] * r[(i + 1) % n]).mod(grp.q);
-  }
-  return grp.gpow(exp);
-}
-
 }  // namespace idgka::gka::bd

@@ -33,8 +33,4 @@ namespace idgka::gka::bd {
 /// Lemma 1: prod_i X_i == 1 (mod p).
 [[nodiscard]] bool lemma1_holds(const GroupCtx& grp, std::span<const BigInt> x);
 
-/// Test oracle: the key computed directly from all ephemerals,
-/// g^{r_0 r_1 + r_1 r_2 + ... + r_{n-1} r_0} mod p.
-[[nodiscard]] BigInt direct_key(const GroupCtx& grp, std::span<const BigInt> r);
-
 }  // namespace idgka::gka::bd

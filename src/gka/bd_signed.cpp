@@ -44,18 +44,6 @@ std::vector<std::uint8_t> serialize_cert(const pki::Certificate& cert) {
 
 }  // namespace
 
-const char* bd_auth_name(BdAuth auth) {
-  switch (auth) {
-    case BdAuth::kSok:
-      return "BD+SOK";
-    case BdAuth::kEcdsa:
-      return "BD+ECDSA";
-    case BdAuth::kDsa:
-      return "BD+DSA";
-  }
-  return "BD+?";
-}
-
 RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<MemberCtx> members,
                         net::Network& network) {
   RunResult result;

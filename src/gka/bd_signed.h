@@ -20,8 +20,6 @@ namespace idgka::gka {
 /// Which signature scheme authenticates the BD run.
 enum class BdAuth { kSok, kEcdsa, kDsa };
 
-[[nodiscard]] const char* bd_auth_name(BdAuth auth);
-
 /// Executes authenticated BD among `members`. Requires the Authority the
 /// members were enrolled with (verification needs the CA / SOK public key).
 [[nodiscard]] RunResult run_bd_signed(const Authority& authority, BdAuth auth,

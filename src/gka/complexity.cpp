@@ -203,27 +203,6 @@ energy::Ledger impl_initial_ledger(Scheme scheme, std::size_t n) {
   return l;
 }
 
-const char* role_name(Role role) {
-  switch (role) {
-    case Role::kController:
-      return "U1 (controller)";
-    case Role::kBridge:
-      return "Un / Un+1 (bridge)";
-    case Role::kJoiner:
-      return "Un+1 (joiner)";
-    case Role::kOddSurvivor:
-      return "odd-indexed survivor";
-    case Role::kEvenSurvivor:
-      return "even-indexed survivor";
-    case Role::kOtherA:
-      return "group-A member";
-    case Role::kOtherB:
-      return "group-B member";
-    case Role::kOther:
-      return "other member";
-  }
-  return "?";
-}
 
 std::map<Role, energy::Ledger> impl_dynamic_ledgers(DynamicEvent event, std::size_t n,
                                                     std::size_t m, std::size_t ld,

@@ -76,7 +76,6 @@ enum class Role {
   kOtherB,
   kOther,        ///< passive member (join)
 };
-[[nodiscard]] const char* role_name(Role role);
 
 /// Predicted per-member ledgers for a proposed-scheme dynamic event.
 /// Keyed by role; missing roles do not participate in that event.

@@ -78,16 +78,4 @@ RunResult run_ing(const SystemParams& params, std::span<MemberCtx> members,
   return result;
 }
 
-energy::Ledger ing_ledger(std::size_t n) {
-  if (n < 2) throw std::invalid_argument("ing_ledger: n >= 2");
-  energy::Ledger l;
-  l.record(energy::Op::kModExp, n);  // initial z + one per round
-  const std::size_t msg_bits = energy::wire::kIdBits + energy::wire::kGroupElementBits;
-  l.tx_messages = n - 1;
-  l.rx_messages = n - 1;
-  l.tx_bits = (n - 1) * msg_bits;
-  l.rx_bits = (n - 1) * msg_bits;
-  return l;
-}
-
 }  // namespace idgka::gka

@@ -24,7 +24,4 @@ namespace idgka::gka {
 [[nodiscard]] RunResult run_ing(const SystemParams& params, std::span<MemberCtx> members,
                                 net::Network& network);
 
-/// Per-member predicted ledger for ING at size n (paper-style accounting).
-[[nodiscard]] energy::Ledger ing_ledger(std::size_t n);
-
 }  // namespace idgka::gka

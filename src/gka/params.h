@@ -54,9 +54,6 @@ struct GroupCtx {
   const mpint::ModContext& p;       ///< mod-p context
   const BigInt& q;                  ///< exponent group order
   const mpint::FixedBaseTable& g;   ///< comb table for the generator
-
-  /// Fixed-base g^e mod p through the comb table.
-  [[nodiscard]] BigInt gpow(const BigInt& e) const { return p.exp(g, e); }
 };
 
 /// Shared public parameters for the key-agreement group and GQ signatures.

@@ -10,10 +10,6 @@ HmacDrbg::HmacDrbg(std::span<const std::uint8_t> seed) {
   update(seed);
 }
 
-HmacDrbg::HmacDrbg(std::string_view label)
-    : HmacDrbg(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(label.data()), label.size())) {}
-
 HmacDrbg::HmacDrbg(std::uint64_t seed, std::string_view label) {
   v_.fill(0x01);
   std::vector<std::uint8_t> material;
@@ -38,8 +34,6 @@ void HmacDrbg::update(std::span<const std::uint8_t> provided) {
     v_ = mac_.mac(v_);
   }
 }
-
-void HmacDrbg::reseed(std::span<const std::uint8_t> material) { update(material); }
 
 void HmacDrbg::fill(std::span<std::uint8_t> out) {
   std::size_t produced = 0;

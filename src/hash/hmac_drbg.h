@@ -23,15 +23,10 @@ class HmacDrbg final : public mpint::Rng {
  public:
   /// Instantiates from seed material (entropy || nonce || personalization).
   explicit HmacDrbg(std::span<const std::uint8_t> seed);
-  /// Convenience: seeds from a string label.
-  explicit HmacDrbg(std::string_view label);
   /// Convenience: seeds from a 64-bit value and a domain-separation label.
   HmacDrbg(std::uint64_t seed, std::string_view label);
 
   void fill(std::span<std::uint8_t> out) override;
-
-  /// Mixes additional entropy/context into the state.
-  void reseed(std::span<const std::uint8_t> material);
 
  private:
   void update(std::span<const std::uint8_t> provided);

@@ -127,19 +127,4 @@ Sha256::Digest Sha256::digest(std::span<const std::uint8_t> data) {
   return h.finalize();
 }
 
-Sha256::Digest Sha256::digest(std::string_view s) {
-  Sha256 h;
-  h.update(s);
-  return h.finalize();
-}
-
-std::vector<std::uint8_t> concat(std::initializer_list<std::span<const std::uint8_t>> parts) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
 }  // namespace idgka::hash

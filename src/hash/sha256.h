@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 namespace idgka::hash {
 
@@ -30,7 +29,6 @@ class Sha256 {
 
   /// One-shot convenience.
   static Digest digest(std::span<const std::uint8_t> data);
-  static Digest digest(std::string_view s);
 
  private:
   void process_block(const std::uint8_t* block);
@@ -40,8 +38,5 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
 };
-
-/// Concatenation helper used throughout the protocol messages.
-std::vector<std::uint8_t> concat(std::initializer_list<std::span<const std::uint8_t>> parts);
 
 }  // namespace idgka::hash

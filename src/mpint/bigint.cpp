@@ -742,24 +742,4 @@ BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
   return (a * b).mod(m);
 }
 
-int jacobi(const BigInt& a_in, const BigInt& n_in) {
-  if (n_in.is_even() || n_in.negative()) {
-    throw std::domain_error("jacobi: n must be odd and positive");
-  }
-  BigInt a = a_in.mod(n_in);
-  BigInt n = n_in;
-  int result = 1;
-  while (!a.is_zero()) {
-    while (a.is_even()) {
-      a >>= 1;
-      const std::uint64_t n_mod_8 = n.low_u64() & 7U;
-      if (n_mod_8 == 3 || n_mod_8 == 5) result = -result;
-    }
-    std::swap(a, n);
-    if ((a.low_u64() & 3U) == 3 && (n.low_u64() & 3U) == 3) result = -result;
-    a = a.mod(n);
-  }
-  return n.is_one() ? result : 0;
-}
-
 }  // namespace idgka::mpint

@@ -152,7 +152,4 @@ class BigInt {
 /// (a * b) mod m with full-width intermediate.
 [[nodiscard]] BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
 
-/// Jacobi symbol (a/n) for odd positive n; returns -1, 0 or 1.
-[[nodiscard]] int jacobi(const BigInt& a, const BigInt& n);
-
 }  // namespace idgka::mpint

@@ -792,24 +792,6 @@ void ModContext::exp(const Residue& base, const BigInt& e, Residue& out) const {
   fold(ops);
 }
 
-void ModContext::exp(const FixedBaseTable& table, const BigInt& e, Residue& out) const {
-  if (table.mod_fingerprint_ != n_.limbs()) {
-    throw std::invalid_argument("ModContext::exp: fixed-base table from another modulus");
-  }
-  Ops ops;
-  if (out.size() != k_) out.resize(k_);
-  if (!e.negative() && e.bit_length() <= table.bits_) {
-    exp_comb_raw(table, e, out.limbs(), ops);
-  } else {
-    const BigInt r = exp_any(table.base_, e, ops);
-    ArenaFrame frame(tls_arena());
-    Limb* scratch = frame.alloc(2 * k_ + 2);
-    to_mont_raw(r, out.limbs(), scratch, ops);
-  }
-  g_exps.fetch_add(1, std::memory_order_relaxed);
-  fold(ops);
-}
-
 // ------------------------------------------------------------- utilities
 
 bool sqrt_mod_p3(const ModContext& ctx, const BigInt& a, BigInt& out) {

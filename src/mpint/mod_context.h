@@ -193,10 +193,6 @@ class ModContext {
   /// stays entirely in-domain and allocation-free.
   void exp(const Residue& base, const BigInt& e, Residue& out) const;
 
-  /// out = comb-table base^e in the residue domain (same fallback rules as
-  /// the BigInt overload; the fallback converts through BigInt).
-  void exp(const FixedBaseTable& table, const BigInt& e, Residue& out) const;
-
  private:
   using Limb = BigInt::Limb;
 

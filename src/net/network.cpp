@@ -147,11 +147,6 @@ std::vector<wire::Frame> Network::drain_frames(std::uint32_t node) {
   return out;
 }
 
-std::size_t Network::pending(std::uint32_t node) const {
-  const auto it = inboxes_.find(node);
-  return it == inboxes_.end() ? 0 : it->second.size();
-}
-
 const TrafficStats& Network::stats(std::uint32_t node) const {
   const auto it = stats_.find(node);
   if (it == stats_.end()) throw std::invalid_argument("Network: unknown node");

@@ -89,8 +89,6 @@ class Network {
   [[nodiscard]] std::vector<Message> drain(std::uint32_t node);
   /// Byte-level variant: removes and returns the raw frames undecoded.
   [[nodiscard]] std::vector<wire::Frame> drain_frames(std::uint32_t node);
-  /// Number of pending frames for `node`.
-  [[nodiscard]] std::size_t pending(std::uint32_t node) const;
 
   [[nodiscard]] const TrafficStats& stats(std::uint32_t node) const;
   [[nodiscard]] TrafficStats total_stats() const;

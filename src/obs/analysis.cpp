@@ -15,6 +15,9 @@ struct TrackState {
   std::string name;                 ///< from the thread_name metadata
   std::vector<std::size_t> stack;   ///< open span indices, innermost last
   std::uint64_t last_ts = 0;
+  /// engine.run span the track's run is parked in, and since when.
+  std::size_t parked_in = Span::kNoParent;
+  std::uint64_t parked_at = 0;
 };
 
 std::string format_ms(std::uint64_t us) {
@@ -73,7 +76,11 @@ std::vector<Span> build_spans(const json::JsonValue& trace) {
   // Pass 2: match B/E pairs per track. Spans are strictly LIFO per track
   // (they come from RAII scopes on one thread), so E always closes the
   // innermost open span; a stray E (begin lost to ring wrap) is dropped.
+  // A run parked in its own engine.run frame (between operations) is idle,
+  // not engine work: each engine.park -> engine.resume interval there is
+  // kept out of that span's self time.
   std::vector<Span> spans;
+  std::map<std::size_t, std::uint64_t> parked_us;
   for (const json::JsonValue& e : events) {
     const std::string& ph = e.at("ph").as_string();
     if (ph == "M") continue;
@@ -98,8 +105,16 @@ std::vector<Span> build_spans(const json::JsonValue& trace) {
       if (track.stack.empty()) continue;
       spans[track.stack.back()].end_us = ts;
       track.stack.pop_back();
+    } else if (e.at("name").as_string() == "engine.park") {
+      const bool in_run = !track.stack.empty() && spans[track.stack.back()].name == "engine.run";
+      track.parked_in = in_run ? track.stack.back() : Span::kNoParent;
+      track.parked_at = ts;
+    } else if (e.at("name").as_string() == "engine.resume" &&
+               track.parked_in != Span::kNoParent) {
+      parked_us[track.parked_in] += ts - track.parked_at;
+      track.parked_in = Span::kNoParent;
     }
-    // Instants ("i") only advance last_ts; they carry no duration.
+    // Other instants only advance last_ts; they carry no duration.
   }
 
   // Unclosed spans (trace ended mid-op): close at the track's last event.
@@ -110,10 +125,13 @@ std::vector<Span> build_spans(const json::JsonValue& trace) {
     }
   }
 
-  for (Span& s : spans) {
-    std::uint64_t child_us = 0;
-    for (const std::size_t child : s.children) child_us += spans[child].duration_us();
-    s.self_us = s.duration_us() >= child_us ? s.duration_us() - child_us : 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    Span& s = spans[i];
+    std::uint64_t busy_us = 0;
+    for (const std::size_t child : s.children) busy_us += spans[child].duration_us();
+    const auto parked = parked_us.find(i);
+    if (parked != parked_us.end()) busy_us += parked->second;
+    s.self_us = s.duration_us() >= busy_us ? s.duration_us() - busy_us : 0;
   }
   return spans;
 }

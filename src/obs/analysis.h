@@ -37,7 +37,9 @@ struct Span {
   std::uint64_t start_us = 0;
   std::uint64_t end_us = 0;
   /// Duration minus the summed durations of direct children: the time this
-  /// span spent in its own frame, the quantity attribution sums.
+  /// span spent in its own frame, the quantity attribution sums. An
+  /// engine.run span also leaves out the time its run sat parked in that
+  /// frame (engine.park to engine.resume), which is idle, not work.
   std::uint64_t self_us = 0;
   std::size_t parent = kNoParent;  ///< index into the span vector
   std::vector<std::size_t> children;
@@ -53,7 +55,7 @@ struct Span {
 /// Per-category (= per-layer) attribution totals.
 struct LayerStat {
   std::uint64_t spans = 0;
-  std::uint64_t self_us = 0;   ///< exclusive time — sums to total span time
+  std::uint64_t self_us = 0;   ///< exclusive time — sums to total busy span time
   std::uint64_t total_us = 0;  ///< inclusive time (overlapping; context only)
 };
 

@@ -39,14 +39,6 @@ std::uint64_t JsonValue::as_uint() const {
   kind_error("unsigned integer");
 }
 
-std::int64_t JsonValue::as_int() const {
-  if (kind_ == Kind::kInt) return int_;
-  if (kind_ == Kind::kUint && uint_ <= static_cast<std::uint64_t>(INT64_MAX)) {
-    return static_cast<std::int64_t>(uint_);
-  }
-  kind_error("integer");
-}
-
 const std::string& JsonValue::as_string() const {
   if (kind_ != Kind::kString) kind_error("string");
   return string_;

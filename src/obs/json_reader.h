@@ -69,7 +69,6 @@ class JsonValue {
   [[nodiscard]] double as_double() const;
   /// Integral value; doubles are rejected (a "wall_ms":1.5 is not a count).
   [[nodiscard]] std::uint64_t as_uint() const;
-  [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const JsonArray& as_array() const;
   [[nodiscard]] const JsonObject& as_object() const;

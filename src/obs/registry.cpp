@@ -70,14 +70,6 @@ std::uint64_t Histogram::percentile(double q) const {
   return max();
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~0ULL, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 // ----------------------------------------------------------------- Snapshot
 
 Snapshot Snapshot::delta_since(const Snapshot& earlier) const {
@@ -132,12 +124,6 @@ void Snapshot::write(JsonWriter& w) const {
   for (const auto& [name, v] : probes) w.kv(name, v);
   w.end_object();
   w.end_object();
-}
-
-std::string Snapshot::to_json() const {
-  JsonWriter w;
-  write(w);
-  return w.take();
 }
 
 // ----------------------------------------------------------------- Registry
@@ -200,59 +186,9 @@ Counter& Registry::counter(std::string_view base, std::string_view label) {
   return counters_.try_emplace(std::move(name)).first->second;
 }
 
-Gauge& Registry::gauge(std::string_view base, std::string_view label) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::string name = labeled_name(base, label);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return it->second;
-  return gauges_.try_emplace(std::move(name)).first->second;
-}
-
-Histogram& Registry::histogram(std::string_view base, std::string_view label) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::string name = labeled_name(base, label);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.try_emplace(std::move(name)).first->second;
-}
-
 void Registry::register_probe(std::string_view name, Probe probe) {
   const std::lock_guard<std::mutex> lock(mu_);
   probes_[std::string(name)] = std::move(probe);
-}
-
-void Registry::write_snapshot(JsonWriter& w) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [name, c] : counters_) w.kv(name, c.value());
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : gauges_) w.kv(name, g.value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name).begin_object();
-    w.kv("count", h.count());
-    w.kv("sum", h.sum());
-    w.kv("min", h.min());
-    w.kv("max", h.max());
-    w.kv("p50", h.percentile(50.0));
-    w.kv("p90", h.percentile(90.0));
-    w.kv("p99", h.percentile(99.0));
-    w.end_object();
-  }
-  w.end_object();
-  w.key("probes").begin_object();
-  for (const auto& [name, probe] : probes_) w.kv(name, probe ? probe() : 0);
-  w.end_object();
-  w.end_object();
-}
-
-std::string Registry::snapshot_json() const {
-  JsonWriter w;
-  write_snapshot(w);
-  return w.take();
 }
 
 Snapshot Registry::snapshot() const {
@@ -267,13 +203,6 @@ Snapshot Registry::snapshot() const {
   }
   for (const auto& [name, probe] : probes_) s.probes.emplace(name, probe ? probe() : 0);
   return s;
-}
-
-void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
 }
 
 }  // namespace idgka::obs

@@ -18,7 +18,8 @@
 //     (a callback sampled at snapshot time) over their own totals.
 //
 // Instrument references returned by the registry stay valid for the
-// process lifetime (instruments are never destroyed, only reset to zero).
+// process lifetime (instruments are never destroyed). A region reads its
+// own increments through ScopedSnapshotDelta, never by zeroing the registry.
 #pragma once
 
 #include <atomic>
@@ -40,7 +41,6 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -58,7 +58,6 @@ class Gauge {
     }
   }
   [[nodiscard]] std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -96,8 +95,6 @@ class Histogram {
   /// Estimated q-th percentile (q in [0, 100]); 0 when empty.
   [[nodiscard]] std::uint64_t percentile(double q) const;
 
-  void reset();
-
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets]{};
   std::atomic<std::uint64_t> count_{0};
@@ -134,17 +131,19 @@ struct Snapshot {
   std::map<std::string, std::uint64_t> probes;
 
   /// Increments since `earlier`: counters and probes subtract (clamped at
-  /// zero — a reset between the snapshots reads as no increment, never an
-  /// underflow); gauges keep this snapshot's value (they are levels, not
-  /// totals); histograms subtract count/sum and keep this snapshot's
-  /// min/max/percentiles (octave-resolution summaries do not subtract).
+  /// zero — a probe whose external total went down reads as no increment,
+  /// never an underflow); gauges keep this snapshot's value (they are
+  /// levels, not totals); histograms subtract count/sum and keep this
+  /// snapshot's min/max/percentiles (octave-resolution summaries do not
+  /// subtract).
   /// Instruments with a zero counter/count delta are omitted, so a cell's
   /// delta lists exactly the instruments the cell touched.
   [[nodiscard]] Snapshot delta_since(const Snapshot& earlier) const;
 
-  /// Deterministic JSON, same shape as Registry::snapshot_json().
+  /// Deterministic JSON, sections sorted by instrument name:
+  ///   {"counters":{...},"gauges":{...},"histograms":{"h":{count,sum,min,
+  ///    max,p50,p90,p99}},"probes":{...}}
   void write(JsonWriter& w) const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 class Registry {
@@ -157,9 +156,9 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  // --- Labeled instruments (low-cardinality dimensions) ---
+  // --- Labeled counters (low-cardinality dimensions) ---
   //
-  // A labeled instrument is an ordinary instrument named `base{label}` —
+  // A labeled counter is an ordinary counter named `base{label}` —
   // it sorts next to its family in every snapshot and needs no separate
   // export shape. Lookup cost is one mutex-guarded map find per call (no
   // function-local-static caching is possible when the label varies), so
@@ -173,25 +172,13 @@ class Registry {
   static constexpr std::size_t kMaxLabelsPerFamily = 128;
 
   Counter& counter(std::string_view base, std::string_view label);
-  Gauge& gauge(std::string_view base, std::string_view label);
-  Histogram& histogram(std::string_view base, std::string_view label);
 
   /// Registers (or replaces) a snapshot-time probe.
   void register_probe(std::string_view name, Probe probe);
 
-  /// One deterministic JSON object: sections sorted by instrument name.
-  ///   {"counters":{...},"gauges":{...},"histograms":{"h":{count,sum,min,
-  ///    max,p50,p90,p99}},"probes":{...}}
-  [[nodiscard]] std::string snapshot_json() const;
-  /// Same snapshot appended to an existing writer (as one value).
-  void write_snapshot(JsonWriter& w) const;
-
-  /// Structured capture of every instrument + probe (see Snapshot).
+  /// Structured capture of every instrument + probe (see Snapshot);
+  /// Snapshot::write renders it.
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zeroes every counter/gauge/histogram (probes are external and keep
-  /// their own state). For tests and benches that window a region.
-  void reset();
 
  private:
   /// Full instrument name of (base, label), enforcing the per-family cap
@@ -212,8 +199,7 @@ class Registry {
 /// region (one matrix cell, one test body) can read exactly its own
 /// increments — delta() is "everything since the guard was built",
 /// independent of process-lifetime totals and with probes re-sampled on
-/// both sides. Does not reset the registry: guards nest and never disturb
-/// concurrent readers.
+/// both sides. Guards nest and never disturb concurrent readers.
 class ScopedSnapshotDelta {
  public:
   explicit ScopedSnapshotDelta(const Registry& registry = Registry::global())

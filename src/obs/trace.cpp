@@ -22,8 +22,8 @@ std::atomic<bool> g_trace_enabled{false};
 // -------------------------------------------------------------- ring store
 
 struct Ring {
-  explicit Ring(std::string track_name, std::size_t capacity)
-      : track(std::move(track_name)), slots(capacity) {}
+  explicit Ring(std::string track_name)
+      : track(std::move(track_name)), slots(kRingCapacity) {}
 
   /// Copies out the live events, oldest first.
   [[nodiscard]] std::vector<Event> snapshot() const {
@@ -38,7 +38,7 @@ struct Ring {
   }
 
   std::string track;
-  std::vector<Event> slots;          ///< power-of-two capacity
+  std::vector<Event> slots;          ///< kRingCapacity, a power of two
   std::atomic<std::uint64_t> next{0};  ///< total events ever written
 };
 }  // namespace detail
@@ -72,7 +72,6 @@ struct Recorder {
   std::mutex mu;
   std::vector<std::shared_ptr<Ring>> rings;
   std::uint64_t generation = 1;
-  std::size_t capacity = 16384;
 };
 
 Recorder& recorder() {
@@ -88,7 +87,7 @@ Ring& thread_ring() {
   if (!st.ring || st.generation != rec.generation) {
     const std::lock_guard<std::mutex> lock(rec.mu);
     std::string track = st.track.empty() ? std::string("thread") : st.track;
-    st.ring = std::make_shared<Ring>(std::move(track), rec.capacity);
+    st.ring = std::make_shared<Ring>(std::move(track));
     st.generation = rec.generation;
     rec.rings.push_back(st.ring);
   }
@@ -232,17 +231,7 @@ void emit(Phase phase, const char* name, const char* cat, std::uint64_t arg) {
   do_emit(phase, name, cat, arg, true);
 }
 
-void set_thread_track(std::string track) { t_state = TraceState{{}, 0, std::move(track)}; }
-
 void swap_thread_state(TraceState& state) { std::swap(t_state, state); }
-
-void set_ring_capacity(std::size_t capacity) {
-  std::size_t cap = 2;
-  while (cap < capacity && cap < (1ULL << 30)) cap <<= 1;
-  Recorder& rec = recorder();
-  const std::lock_guard<std::mutex> lock(rec.mu);
-  rec.capacity = cap;
-}
 
 void clear() {
   Recorder& rec = recorder();

@@ -102,28 +102,26 @@ struct Event {
 void emit(Phase phase, const char* name, const char* cat);
 void emit(Phase phase, const char* name, const char* cat, std::uint64_t arg);
 
-/// Starts the calling thread on a fresh ring under `track` in exports and
-/// dumps, from its next event on. Track names — and therefore exports —
-/// are deterministic where thread registration order is not.
-void set_thread_track(std::string track);
+/// Events each ring holds before it wraps (a power of two).
+inline constexpr std::size_t kRingCapacity = 16384;
 
 /// A ring and the track it exports under. Every thread has one; the engine
-/// swaps a ProtocolRun's onto whichever worker hosts the run.
+/// swaps a ProtocolRun's onto whichever worker hosts the run. Track names —
+/// and therefore exports — are deterministic where thread registration
+/// order is not.
 struct TraceState {
   std::shared_ptr<detail::Ring> ring;
   std::uint64_t generation = 0;  ///< recorder generation `ring` belongs to
   std::string track;             ///< name for the next ring registration
 };
-/// Exchanges the calling thread's trace state with `state`.
+/// Exchanges the calling thread's trace state with `state`. A state with
+/// no ring starts the thread on a fresh ring under `state.track` from its
+/// next event on.
 void swap_thread_state(TraceState& state);
 
-/// Ring capacity (events per thread) for rings created after the call.
-/// Must be a power of two >= 2; default 16384.
-void set_ring_capacity(std::size_t capacity);
-
-/// Drops every registered ring and thread track and resets the capacity
-/// default. Live threads lazily re-register on their next event. Called
-/// between runs that must export identical traces from event zero.
+/// Drops every registered ring. Live threads lazily re-register on their
+/// next event. Called between runs that must export identical traces from
+/// event zero.
 void clear();
 
 /// RAII span: kBegin at construction, kEnd at destruction (both no-ops

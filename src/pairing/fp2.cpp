@@ -24,16 +24,6 @@ BigInt Fp2Ctx::fsub(const BigInt& a, const BigInt& b) const {
 
 BigInt Fp2Ctx::fmul(const BigInt& a, const BigInt& b) const { return (a * b).mod(p_); }
 
-Fp2 Fp2Ctx::make(BigInt re, BigInt im) const { return Fp2{re.mod(p_), im.mod(p_)}; }
-
-Fp2 Fp2Ctx::add(const Fp2& a, const Fp2& b) const {
-  return Fp2{fadd(a.re, b.re), fadd(a.im, b.im)};
-}
-
-Fp2 Fp2Ctx::sub(const Fp2& a, const Fp2& b) const {
-  return Fp2{fsub(a.re, b.re), fsub(a.im, b.im)};
-}
-
 Fp2 Fp2Ctx::mul(const Fp2& a, const Fp2& b) const {
   // Karatsuba-style: (a0 + a1 i)(b0 + b1 i) with i^2 = -1.
   const BigInt t0 = fmul(a.re, b.re);

@@ -35,10 +35,7 @@ class Fp2Ctx {
   [[nodiscard]] const mpint::ModContext& fp() const { return fctx_; }
 
   [[nodiscard]] Fp2 one() const { return Fp2{BigInt{1}, BigInt{}}; }
-  [[nodiscard]] Fp2 make(BigInt re, BigInt im) const;
 
-  [[nodiscard]] Fp2 add(const Fp2& a, const Fp2& b) const;
-  [[nodiscard]] Fp2 sub(const Fp2& a, const Fp2& b) const;
   [[nodiscard]] Fp2 mul(const Fp2& a, const Fp2& b) const;
   [[nodiscard]] Fp2 sqr(const Fp2& a) const;
   [[nodiscard]] Fp2 conj(const Fp2& a) const;

@@ -28,13 +28,6 @@ std::vector<std::uint8_t> Certificate::tbs_bytes() const {
   return out;
 }
 
-std::size_t Certificate::wire_size() const {
-  return tbs_bytes().size() + sig_r.to_bytes_be().size() + sig_s.to_bytes_be().size();
-}
-
-CertificateAuthority::CertificateAuthority(sig::DsaParams params, mpint::Rng& rng)
-    : CertificateAuthority(std::move(params), nullptr, rng) {}
-
 CertificateAuthority::CertificateAuthority(sig::DsaParams params,
                                            std::shared_ptr<const mpint::ModContext> ctx_p,
                                            mpint::Rng& rng)

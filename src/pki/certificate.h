@@ -41,17 +41,14 @@ struct Certificate {
 
   /// Serialized to-be-signed bytes (everything except the signature).
   [[nodiscard]] std::vector<std::uint8_t> tbs_bytes() const;
-  /// Full serialized size in bytes (TBS + signature components).
-  [[nodiscard]] std::size_t wire_size() const;
 };
 
 /// A certificate authority holding a DSA or ECDSA issuing key.
 class CertificateAuthority {
  public:
-  /// DSA-issuing CA; derives its own mod-p context.
-  CertificateAuthority(sig::DsaParams params, mpint::Rng& rng);
-  /// DSA-issuing CA sharing a caller-owned mod-p context for `params.p`
-  /// (gka::Authority already caches one for the same parameters).
+  /// DSA-issuing CA over a caller-owned mod-p context for `params.p`
+  /// (gka::Authority already caches one for the same parameters), or its
+  /// own when `ctx_p` is null.
   CertificateAuthority(sig::DsaParams params,
                        std::shared_ptr<const mpint::ModContext> ctx_p, mpint::Rng& rng);
   /// ECDSA-issuing CA on the given curve.

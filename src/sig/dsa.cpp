@@ -156,6 +156,5 @@ bool dsa_batch_verify(const DsaParams& params, const mpint::ModContext& ctx_p,
   return ctx_p.multi_exp(lhs_bases, lhs_exps) == ctx_p.multi_exp(rhs_bases, rhs_exps);
 }
 
-std::size_t dsa_signature_bits(const DsaParams& params) { return 2 * params.q.bit_length(); }
 
 }  // namespace idgka::sig

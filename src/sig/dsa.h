@@ -87,7 +87,4 @@ struct DsaCommittedSignature {
                                     std::span<const std::vector<std::uint8_t>> messages,
                                     std::span<const DsaCommittedSignature> sigs);
 
-/// Wire size: r and s are |q| bits each (paper: 2 x 160 bits).
-[[nodiscard]] std::size_t dsa_signature_bits(const DsaParams& params);
-
 }  // namespace idgka::sig

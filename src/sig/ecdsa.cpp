@@ -53,8 +53,4 @@ bool ecdsa_verify(const ec::Curve& curve, const ec::Point& pub,
   return pt.x.mod(n) == sig.r;
 }
 
-std::size_t ecdsa_signature_bits(const ec::Curve& curve) {
-  return 2 * curve.order().bit_length();
-}
-
 }  // namespace idgka::sig

@@ -32,7 +32,4 @@ struct EcdsaSignature {
                                 std::span<const std::uint8_t> message,
                                 const EcdsaSignature& sig);
 
-/// Wire size: r and s at |n| bits each (paper treats them as 2 x 160).
-[[nodiscard]] std::size_t ecdsa_signature_bits(const ec::Curve& curve);
-
 }  // namespace idgka::sig

@@ -136,8 +136,4 @@ bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
   return gq_challenge(t_prime.to_bytes_be(), z_bytes) == c;
 }
 
-std::size_t gq_signature_bits(const GqParams& params) {
-  return params.n.bit_length() + 160;
-}
-
 }  // namespace idgka::sig

@@ -133,8 +133,4 @@ class GqSigner {
                                    std::span<const BigInt> s_values, const BigInt& c,
                                    std::span<const std::uint8_t> z_bytes);
 
-/// Serialized GQ signature size in bits: |s| = |n|, |c| = 160 (paper
-/// Table 3 footnote: s = 1024-bit, c = 160-bit).
-[[nodiscard]] std::size_t gq_signature_bits(const GqParams& params);
-
 }  // namespace idgka::sig

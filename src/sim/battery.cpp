@@ -62,13 +62,6 @@ bool BatteryBank::alive(std::uint32_t id) const {
   return it->second.alive;
 }
 
-double BatteryBank::consumed_mj(std::uint32_t id) const {
-  const auto it = cells_.find(id);
-  if (it == cells_.end()) throw std::invalid_argument("BatteryBank: unknown node");
-  const Cell& cell = it->second;
-  return cell.idle_mj + cell.banked_mj + cell.ledger_mj;
-}
-
 double BatteryBank::total_consumed_mj() const {
   double total = 0.0;
   for (const auto& [id, cell] : cells_) {

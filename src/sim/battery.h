@@ -50,7 +50,6 @@ class BatteryBank {
   bool tick(std::uint32_t id, SimTime now);
 
   [[nodiscard]] bool alive(std::uint32_t id) const;
-  [[nodiscard]] double consumed_mj(std::uint32_t id) const;
   [[nodiscard]] double total_consumed_mj() const;
   [[nodiscard]] std::size_t deaths() const { return deaths_; }
   [[nodiscard]] std::optional<SimTime> first_death_us() const { return first_death_; }

@@ -61,8 +61,11 @@ void ProtocolDriver::install(net::Network& network) {
     if (engine::ProtocolRun* run = engine::ProtocolRun::current()) {
       run->await_round(cfg_.round_timeout_us, cfg_.resume_on_arrival);
     } else {
-      // No engine on this thread (an op invoked outside any driver/run —
-      // e.g. direct session calls in tests): advance the clock directly.
+      // No run on this thread: a session op called directly rather than
+      // through the driver, so the round waits by advancing the clock
+      // itself. Two callers reach this: manet_patrol's `patrol.merge(squad)`
+      // and a GroupSession::split whose offshoot shares the driver's link
+      // (gka_dynamic_test's Split.OffshootTravelsOverTheDriversLink).
       Scheduler& sched = exec_->scheduler();
       sched.run_until(sched.now() + cfg_.round_timeout_us);
     }

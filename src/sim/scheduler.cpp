@@ -17,14 +17,4 @@ void Scheduler::run_until(SimTime horizon) {
   advance_to(horizon);
 }
 
-SimTime Scheduler::run_all() {
-  while (!queue_.empty()) {
-    auto node = queue_.extract(queue_.begin());
-    advance_to(node.key().first);
-    ++executed_;
-    node.mapped()();
-  }
-  return now();
-}
-
 }  // namespace idgka::sim

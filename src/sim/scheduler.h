@@ -47,9 +47,6 @@ class Scheduler {
   /// advances the clock to `horizon` (never backwards).
   void run_until(SimTime horizon);
 
-  /// Drains the queue completely; returns the final clock value.
-  SimTime run_all();
-
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   /// Timestamp of the earliest pending event, or nullopt when idle. The
   /// engine's main loop advances the clock one occupied timestamp at a

@@ -4,25 +4,6 @@
 
 namespace idgka::symc {
 
-std::vector<std::uint8_t> ctr_crypt(const Aes128& cipher, const Aes128::Block& iv,
-                                    std::span<const std::uint8_t> data) {
-  std::vector<std::uint8_t> out(data.begin(), data.end());
-  Aes128::Block counter = iv;
-  std::size_t offset = 0;
-  while (offset < out.size()) {
-    Aes128::Block keystream = counter;
-    cipher.encrypt_block(keystream);
-    const std::size_t take = std::min(Aes128::kBlockSize, out.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) out[offset + i] ^= keystream[i];
-    offset += take;
-    // Big-endian increment.
-    for (std::size_t i = Aes128::kBlockSize; i-- > 0;) {
-      if (++counter[i] != 0) break;
-    }
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> cbc_encrypt(const Aes128& cipher, const Aes128::Block& iv,
                                       std::span<const std::uint8_t> plaintext) {
   const std::size_t pad = Aes128::kBlockSize - plaintext.size() % Aes128::kBlockSize;

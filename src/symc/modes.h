@@ -1,4 +1,4 @@
-// Block-cipher modes of operation over Aes128: CTR and CBC with PKCS#7.
+// Block-cipher mode of operation over Aes128: CBC with PKCS#7.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +15,6 @@ class PaddingError : public std::runtime_error {
  public:
   PaddingError() : std::runtime_error("symc: bad PKCS#7 padding") {}
 };
-
-/// CTR keystream encryption/decryption (symmetric). The 16-byte IV is the
-/// initial counter block; the counter increments big-endian.
-[[nodiscard]] std::vector<std::uint8_t> ctr_crypt(const Aes128& cipher,
-                                                  const Aes128::Block& iv,
-                                                  std::span<const std::uint8_t> data);
 
 /// CBC encryption with PKCS#7 padding.
 [[nodiscard]] std::vector<std::uint8_t> cbc_encrypt(const Aes128& cipher,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "obs/trace.h"
 
@@ -192,6 +193,15 @@ std::size_t read_length(Cursor& c, const char* what) {
   }
   return static_cast<std::size_t>(v);
 }
+
+/// Fixed header fields, read before the payload.
+struct Header {
+  std::uint32_t sender = 0;
+  std::optional<std::uint32_t> recipient;
+  std::string type;
+  std::uint64_t declared_bits = 0;
+  std::uint64_t field_count = 0;
+};
 
 Header read_header(Cursor& c) {
   if (read_u8(c, "magic") != kMagic) throw DecodeError("wire: bad magic");
@@ -387,11 +397,6 @@ net::Message decode(std::span<const std::uint8_t> bytes) {
 }
 
 net::Message decode(const Frame& frame) { return decode(frame.bytes()); }
-
-Header peek(std::span<const std::uint8_t> bytes) {
-  Cursor c{bytes.data(), bytes.data() + bytes.size()};
-  return read_header(c);
-}
 
 void assert_roundtrip(const net::Message& msg, const Frame& frame) {
   const net::Message back = decode(frame);

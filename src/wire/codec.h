@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -100,16 +99,6 @@ class Frame {
 /// Strict decode; throws DecodeError on any malformed input.
 [[nodiscard]] net::Message decode(std::span<const std::uint8_t> bytes);
 [[nodiscard]] net::Message decode(const Frame& frame);
-
-/// Fixed header fields, parsed without materializing the payload.
-struct Header {
-  std::uint32_t sender = 0;
-  std::optional<std::uint32_t> recipient;
-  std::string type;
-  std::uint64_t declared_bits = 0;
-  std::uint64_t field_count = 0;
-};
-[[nodiscard]] Header peek(std::span<const std::uint8_t> bytes);
 
 /// Debug-build guard on every transmission: the frame must decode back to
 /// the exact message, re-encode to the exact bytes, the Payload size model

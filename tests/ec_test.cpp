@@ -1,5 +1,6 @@
 // Elliptic-curve arithmetic tests: named-curve constants, group laws,
-// scalar-multiplication properties, toy-curve generation.
+// scalar-multiplication properties, and the same laws on a generated toy
+// curve.
 #include "ec/curve.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,98 @@ namespace idgka::ec {
 namespace {
 
 using mpint::BigInt;
+
+/// Jacobi symbol (a/n) for odd positive n; returns -1, 0 or 1.
+int jacobi(const BigInt& a_in, const BigInt& n_in) {
+  if (n_in.is_even() || n_in.negative()) {
+    throw std::domain_error("jacobi: n must be odd and positive");
+  }
+  BigInt a = a_in.mod(n_in);
+  BigInt n = n_in;
+  int result = 1;
+  while (!a.is_zero()) {
+    while (a.is_even()) {
+      a >>= 1;
+      const std::uint64_t n_mod_8 = n.low_u64() & 7U;
+      if (n_mod_8 == 3 || n_mod_8 == 5) result = -result;
+    }
+    std::swap(a, n);
+    if ((a.low_u64() & 3U) == 3 && (n.low_u64() & 3U) == 3) result = -result;
+    a = a.mod(n);
+  }
+  return n.is_one() ? result : 0;
+}
+
+/// Brute-force-counted curve with prime order over a `bits`-bit prime
+/// (bits in [8, 28]): a second, independently generated curve for the
+/// group-law checks.
+Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
+  if (bits < 8 || bits > 28) {
+    throw std::invalid_argument("generate_toy_curve: bits must be in [8, 28]");
+  }
+  const BigInt p = mpint::generate_prime(rng, bits, 24);
+  const mpint::ModContext fctx(p);
+  const std::uint64_t pu = p.low_u64();
+  while (true) {
+    const std::uint64_t a = mpint::random_below(rng, p).low_u64();
+    const std::uint64_t b = mpint::random_below(rng, p).low_u64();
+    // Reject singular curves: 4a^3 + 27b^2 == 0 mod p.
+    const unsigned __int128 disc =
+        (static_cast<unsigned __int128>(4) * a % pu * a % pu * a +
+         static_cast<unsigned __int128>(27) * b % pu * b) % pu;
+    if (disc == 0) continue;
+
+    // Count points directly: infinity + (2 per quadratic-residue RHS,
+    // 1 per zero RHS). Equivalent to #E = p + 1 + sum_x chi(x^3+ax+b).
+    std::uint64_t count = 1;
+    std::uint64_t first_x = 0;
+    bool have_point = false;
+    std::uint64_t first_y = 0;
+    for (std::uint64_t x = 0; x < pu; ++x) {
+      const unsigned __int128 rhs128 =
+          ((static_cast<unsigned __int128>(x) * x % pu * x) +
+           (static_cast<unsigned __int128>(a) * x) + b) % pu;
+      const std::uint64_t rhs = static_cast<std::uint64_t>(rhs128);
+      if (rhs == 0) {
+        ++count;  // one point with y == 0
+        continue;
+      }
+      const int chi = jacobi(BigInt{rhs}, p);
+      if (chi == 1) {
+        count += 2;
+        if (!have_point) {
+          BigInt root;
+          // p was chosen freely; only use sqrt when p % 4 == 3, otherwise
+          // search y directly (p is tiny).
+          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(fctx, BigInt{rhs}, root)) {
+            first_x = x;
+            first_y = root.low_u64();
+            have_point = true;
+          } else if ((pu & 3U) != 3U) {
+            for (std::uint64_t y = 1; y < pu; ++y) {
+              if (static_cast<unsigned __int128>(y) * y % pu == rhs) {
+                first_x = x;
+                first_y = y;
+                have_point = true;
+                break;
+              }
+            }
+          }
+        }
+      }
+    }
+    const BigInt order{count};
+    if (!have_point) continue;
+    if (!mpint::is_probable_prime(order, rng, 24)) continue;
+
+    const Point g{BigInt{first_x}, BigInt{first_y}, false};
+    Curve curve("toy" + std::to_string(bits), p, BigInt{a}, BigInt{b}, g, order, BigInt{1});
+    // Sanity: n*G == O.
+    if (!curve.mul(order, g).infinity) continue;
+    return curve;
+  }
+}
+
 
 TEST(NamedCurves, Secp160r1GeneratorOnCurveAndOrder) {
   const Curve& c = secp160r1();
@@ -49,8 +142,8 @@ TEST(GroupLaw, IdentityAndInverse) {
 TEST(GroupLaw, AddDblConsistency) {
   const Curve& c = secp160r1();
   const Point g = c.generator();
-  EXPECT_EQ(c.add(g, g), c.dbl(g));
-  const Point g2 = c.dbl(g);
+  const Point g2 = c.add(g, g);
+  EXPECT_EQ(c.mul(BigInt{2}, g), g2);
   const Point g3a = c.add(g2, g);
   const Point g3b = c.add(g, g2);
   EXPECT_EQ(g3a, g3b);
@@ -135,8 +228,8 @@ TEST(ToyCurve, GeneratedCurveIsSound) {
   const BigInt diff = (c.order() > p1 ? c.order() - p1 : p1 - c.order());
   EXPECT_LE(diff * diff, BigInt{4} * c.p());
   // Group law holds on the toy curve too.
-  const Point g2 = c.dbl(c.generator());
-  EXPECT_EQ(c.add(c.generator(), c.generator()), g2);
+  const Point g2 = c.add(c.generator(), c.generator());
+  EXPECT_EQ(c.mul(BigInt{2}, c.generator()), g2);
   EXPECT_TRUE(c.is_on_curve(g2));
 }
 
@@ -144,6 +237,18 @@ TEST(ToyCurve, RejectsBadSizes) {
   hash::HmacDrbg rng(78, "toy2");
   EXPECT_THROW(generate_toy_curve(rng, 4), std::invalid_argument);
   EXPECT_THROW(generate_toy_curve(rng, 40), std::invalid_argument);
+}
+
+TEST(ToyCurve, JacobiSymbol) {
+  // (a/7): QRs mod 7 are {1,2,4}.
+  EXPECT_EQ(jacobi(BigInt{1}, BigInt{7}), 1);
+  EXPECT_EQ(jacobi(BigInt{2}, BigInt{7}), 1);
+  EXPECT_EQ(jacobi(BigInt{3}, BigInt{7}), -1);
+  EXPECT_EQ(jacobi(BigInt{4}, BigInt{7}), 1);
+  EXPECT_EQ(jacobi(BigInt{5}, BigInt{7}), -1);
+  EXPECT_EQ(jacobi(BigInt{6}, BigInt{7}), -1);
+  EXPECT_EQ(jacobi(BigInt{7}, BigInt{7}), 0);
+  EXPECT_THROW((void)jacobi(BigInt{3}, BigInt{8}), std::domain_error);
 }
 
 }  // namespace

@@ -311,7 +311,7 @@ TEST(TauReuseAttack, DefaultPaperBehaviourReusesCommitments) {
   GroupSession session(authority, Scheme::kProposed, make_ids(6, 2700), 8);
   std::map<std::uint32_t, int> r1_broadcasts;
   session.mutable_network().set_frame_sniffer([&](const wire::Frame& frame) {
-    if (wire::peek(frame.bytes()).type == "leave-r1") ++r1_broadcasts[frame.sender()];
+    if (wire::decode(frame).type == "leave-r1") ++r1_broadcasts[frame.sender()];
   });
   ASSERT_TRUE(session.form().success);
   const auto ring = session.member_ids();

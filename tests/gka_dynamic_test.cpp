@@ -6,7 +6,7 @@
 // the same randomness would produce (Eqs. 6, 9, 11, 13).
 #include <gtest/gtest.h>
 
-#include "gka/bd_math.h"
+#include "bd_oracle.h"
 #include "gka/session.h"
 #include "lossy_link.h"
 #include "sim/driver.h"
@@ -28,7 +28,7 @@ std::vector<std::uint32_t> make_ids(std::size_t n, std::uint32_t base = 200) {
 BigInt oracle_key(const GroupSession& session) {
   std::vector<BigInt> r;
   for (const MemberCtx& m : session.members()) r.push_back(m.r);
-  return bd::direct_key(session.authority().params().group(), r);
+  return test::direct_key(session.authority().params().group(), r);
 }
 
 void expect_consistent(const GroupSession& session, const char* what) {

@@ -127,7 +127,7 @@ TEST(ExchangeRound, RetryCapGivesIncompleteResult) {
   // A byte-level adversary jams every frame from node 2 to node 3,
   // selecting its target from the frame header alone.
   net.set_frame_tamper_hook([](std::vector<std::uint8_t>& bytes, std::uint32_t rx) {
-    return !(wire::peek(bytes).sender == 2 && rx == 3);
+    return !(wire::decode(std::span<const std::uint8_t>(bytes)).sender == 2 && rx == 3);
   });
   std::vector<RoundSend> sends;
   for (const auto id : ids) sends.push_back(RoundSend{msg_from(id), ids});

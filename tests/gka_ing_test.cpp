@@ -1,6 +1,7 @@
 // ING (Ingemarsson et al. 1982) extension-baseline tests.
 #include <gtest/gtest.h>
 
+#include "energy/profiles.h"
 #include "gka/ing.h"
 #include "gka/session.h"
 #include "lossy_link.h"
@@ -20,6 +21,20 @@ std::vector<MemberCtx> make_members(std::size_t n, std::uint64_t seed) {
         make_member(test_authority().enroll(3000 + static_cast<std::uint32_t>(i)), seed));
   }
   return members;
+}
+
+/// Per-member ledger the ING paper accounting predicts at size n: n
+/// exponentiations (initial z + one per round) and n-1 unicast messages
+/// each way of an id plus a group element.
+energy::Ledger ing_ledger(std::size_t n) {
+  energy::Ledger l;
+  l.record(energy::Op::kModExp, n);
+  const std::size_t msg_bits = energy::wire::kIdBits + energy::wire::kGroupElementBits;
+  l.tx_messages = n - 1;
+  l.rx_messages = n - 1;
+  l.tx_bits = (n - 1) * msg_bits;
+  l.rx_bits = (n - 1) * msg_bits;
+  return l;
 }
 
 class IngTest : public ::testing::TestWithParam<std::size_t> {};

@@ -5,6 +5,7 @@
 // members' ephemerals (Eq. 3).
 #include <gtest/gtest.h>
 
+#include "bd_oracle.h"
 #include "gka/bd_math.h"
 #include "gka/session.h"
 #include "lossy_link.h"
@@ -29,7 +30,7 @@ std::vector<std::uint32_t> make_ids(std::size_t n, std::uint32_t base = 100) {
 BigInt oracle_key(const GroupSession& session) {
   std::vector<BigInt> r;
   for (const MemberCtx& m : session.members()) r.push_back(m.r);
-  return bd::direct_key(session.authority().params().group(), r);
+  return test::direct_key(session.authority().params().group(), r);
 }
 
 struct SchemeCase {
@@ -241,7 +242,7 @@ TEST(BdMath, Lemma1AndReconstruction) {
     x[i] = bd::compute_x(params.group(), z[(i + 1) % n], z[(i + n - 1) % n], r[i]);
   }
   EXPECT_TRUE(bd::lemma1_holds(params.group(), x));
-  const BigInt expected = bd::direct_key(params.group(), r);
+  const BigInt expected = test::direct_key(params.group(), r);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(bd::compute_key(params.group(), z, x, i, r[i]), expected) << "member " << i;
   }
@@ -253,7 +254,7 @@ TEST(BdMath, Lemma1AndReconstruction) {
 TEST(BdMath, RejectsDegenerateInputs) {
   const SystemParams& params = test_authority().params();
   std::vector<BigInt> one{BigInt{1}};
-  EXPECT_THROW((void)bd::direct_key(params.group(), one), std::invalid_argument);
+  EXPECT_THROW((void)test::direct_key(params.group(), one), std::invalid_argument);
   std::vector<BigInt> z(3, BigInt{1});
   std::vector<BigInt> x(2, BigInt{1});
   EXPECT_THROW((void)bd::compute_key(params.group(), z, x, 0, BigInt{1}), std::invalid_argument);

@@ -371,18 +371,6 @@ TEST(NumberTheory, ModExpNegativeExponent) {
   EXPECT_EQ(mod_mul(ctx.exp(a, BigInt{-3}), ctx.exp(a, BigInt{3}), p), BigInt{1});
 }
 
-TEST(NumberTheory, JacobiSymbol) {
-  // (a/7): QRs mod 7 are {1,2,4}.
-  EXPECT_EQ(jacobi(BigInt{1}, BigInt{7}), 1);
-  EXPECT_EQ(jacobi(BigInt{2}, BigInt{7}), 1);
-  EXPECT_EQ(jacobi(BigInt{3}, BigInt{7}), -1);
-  EXPECT_EQ(jacobi(BigInt{4}, BigInt{7}), 1);
-  EXPECT_EQ(jacobi(BigInt{5}, BigInt{7}), -1);
-  EXPECT_EQ(jacobi(BigInt{6}, BigInt{7}), -1);
-  EXPECT_EQ(jacobi(BigInt{7}, BigInt{7}), 0);
-  EXPECT_THROW((void)jacobi(BigInt{3}, BigInt{8}), std::domain_error);
-}
-
 TEST(NumberTheory, SqrtModP3) {
   const BigInt p{103};  // 103 % 4 == 3
   const ModContext ctx(p);

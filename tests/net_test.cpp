@@ -76,14 +76,13 @@ TEST(Network, BroadcastReachesGroupNotSender) {
   Network net;
   for (std::uint32_t id : {1U, 2U, 3U, 4U}) net.add_node(id);
   net.broadcast(make_msg(1, 100), {1, 2, 3});
-  EXPECT_EQ(net.pending(1), 0U);  // sender skipped
-  EXPECT_EQ(net.pending(2), 1U);
-  EXPECT_EQ(net.pending(3), 1U);
-  EXPECT_EQ(net.pending(4), 0U);  // not in group
+  EXPECT_TRUE(net.drain_frames(1).empty());  // sender skipped
+  EXPECT_EQ(net.drain_frames(3).size(), 1U);
+  EXPECT_TRUE(net.drain_frames(4).empty());  // not in group
   const auto msgs = net.drain(2);
   ASSERT_EQ(msgs.size(), 1U);
   EXPECT_EQ(msgs[0].sender, 1U);
-  EXPECT_EQ(net.pending(2), 0U);  // drain removes
+  EXPECT_TRUE(net.drain_frames(2).empty());  // drain removes
 }
 
 TEST(Network, UnicastRequiresRecipient) {
@@ -94,7 +93,7 @@ TEST(Network, UnicastRequiresRecipient) {
   EXPECT_THROW(net.unicast(m), std::invalid_argument);
   m.recipient = 2;
   net.unicast(m);
-  EXPECT_EQ(net.pending(2), 1U);
+  EXPECT_EQ(net.drain_frames(2).size(), 1U);
 }
 
 TEST(Network, StatsCountBitsAndMessages) {
@@ -134,7 +133,7 @@ TEST(Network, BroadcastSkipsSenderInGroup) {
   EXPECT_EQ(link->copies_offered(), 50U);  // only the copies addressed to 2
   EXPECT_GT(net.dropped(), 0U);
   EXPECT_EQ(net.stats(2).rx_messages + net.dropped(), 50U);
-  EXPECT_EQ(net.pending(1), 0U);
+  EXPECT_TRUE(net.drain_frames(1).empty());
   EXPECT_EQ(net.stats(1).tx_messages, 50U);
   EXPECT_EQ(net.stats(1).rx_messages, 0U);
   EXPECT_EQ(net.stats(1).rx_bits, 0U);
@@ -173,13 +172,13 @@ TEST(Network, TransportInterceptsAndDepositDelivers) {
       [&](const wire::Frame& f, std::uint32_t to) { in_flight.emplace_back(f, to); });
 
   net.broadcast(make_msg(1, 64), {2});
-  EXPECT_EQ(net.pending(2), 0U);  // intercepted, not delivered
+  EXPECT_EQ(net.stats(2).rx_messages, 0U);  // intercepted, not delivered
   EXPECT_EQ(net.stats(1).tx_bits, 64U);  // sender charged at hand-off
   ASSERT_EQ(in_flight.size(), 1U);
   EXPECT_EQ(in_flight[0].first.sender(), 1U);
 
   net.deposit(in_flight[0].first, in_flight[0].second);
-  EXPECT_EQ(net.pending(2), 1U);
+  EXPECT_EQ(net.stats(2).rx_messages, 1U);
   EXPECT_EQ(net.stats(2).rx_bits, 64U);
   const auto msgs = net.drain(2);
   ASSERT_EQ(msgs.size(), 1U);  // deposited frame decodes at the receiver
@@ -271,7 +270,7 @@ TEST(Network, FrameTamperBitFlipDetectedAtDrain) {
     return true;
   });
   net.broadcast(make_msg(1, 8), {2});
-  EXPECT_EQ(net.pending(2), 1U);  // received...
+  EXPECT_EQ(net.stats(2).rx_messages, 1U);  // received...
   EXPECT_TRUE(net.drain(2).empty());  // ...discarded by the strict decoder
   EXPECT_EQ(net.stats(2).corrupted_frames, 1U);
 }
@@ -283,7 +282,7 @@ TEST(Network, DrainFramesReturnsRawBytes) {
   net.broadcast(make_msg(1, 64), {2});
   auto frames = net.drain_frames(2);
   ASSERT_EQ(frames.size(), 1U);
-  EXPECT_EQ(net.pending(2), 0U);
+  EXPECT_TRUE(net.drain_frames(2).empty());
   const Message m = wire::decode(frames[0]);
   EXPECT_EQ(m.sender, 1U);
   EXPECT_EQ(m.declared_bits, 64U);
@@ -305,12 +304,12 @@ TEST(Network, RemoveNodeDropsInboxAndStats) {
   net.add_node(2);
   net.add_node(3);
   net.broadcast(make_msg(1, 8), {1, 2, 3});
-  ASSERT_EQ(net.pending(2), 1U);
+  ASSERT_EQ(net.stats(2).rx_messages, 1U);
 
   net.remove_node(2);
   EXPECT_FALSE(net.has_node(2));
   EXPECT_EQ(net.node_count(), 2U);
-  EXPECT_EQ(net.pending(2), 0U);
+  EXPECT_THROW((void)net.drain_frames(2), std::invalid_argument);
   EXPECT_THROW((void)net.stats(2), std::invalid_argument);
   // Departed members no longer count toward the totals...
   EXPECT_EQ(net.total_stats().rx_messages, 1U);

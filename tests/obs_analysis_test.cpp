@@ -166,6 +166,28 @@ TEST(Analysis, ReportAttributesLatencyByLayer) {
   EXPECT_EQ(total_self, 100U);
 }
 
+TEST(Analysis, ParkedRunTimeIsNotEngineWork) {
+  // One group script's run: an op, 80 us parked between ops in the run's
+  // own frame, another op, 2 us of its own work. A wait inside an op (a
+  // round timeout) stays that op's time.
+  const Report r = obs::analysis::analyze(trace_doc({
+      meta("g#0", 1),
+      ev("engine.run", "engine", "B", 0, 1),
+      ev("sim.op.form", "sim", "B", 0, 1),
+      ev("engine.park", "engine", "i", 4, 1),
+      ev("engine.resume", "engine", "i", 6, 1),
+      ev("sim.op.form", "sim", "E", 10, 1),
+      ev("engine.park", "engine", "i", 10, 1),
+      ev("engine.resume", "engine", "i", 90, 1),
+      ev("sim.op.join", "sim", "B", 90, 1),
+      ev("sim.op.join", "sim", "E", 98, 1),
+      ev("engine.run", "engine", "E", 100, 1),
+  }));
+  EXPECT_EQ(r.layers.at("engine").self_us, 2U);
+  EXPECT_EQ(r.layers.at("engine").total_us, 100U);  // inclusive keeps the idle time
+  EXPECT_EQ(r.layers.at("sim").self_us, 18U);
+}
+
 TEST(Analysis, OpSummaryCarriesBreakdownAndCriticalPath) {
   const Report r = obs::analysis::analyze(nested_op_trace());
   ASSERT_EQ(r.ops.size(), 1U);
@@ -219,7 +241,8 @@ TEST(Analysis, ReportSerializesToJsonAndMarkdown) {
 TEST(Analysis, RoundTripsThroughTheRecorder) {
   obs::clear();
   obs::set_trace_enabled(true);
-  obs::set_thread_track("roundtrip");
+  obs::TraceState state{{}, 0, "roundtrip"};
+  obs::swap_thread_state(state);
   {
     OBS_SPAN("sim.op.form", "sim");
     { OBS_SPAN("gka.round", "gka"); }
@@ -252,7 +275,8 @@ TEST(JsonReader, ParsesWriterOutputExactly) {
   const JsonValue doc = obs::json::parse(w.take());
   EXPECT_EQ(doc.at("str").as_string(), "a\"b\\c\n");
   EXPECT_EQ(doc.at("u").as_uint(), 18446744073709551615ULL);
-  EXPECT_EQ(doc.at("i").as_int(), -42);
+  EXPECT_EQ(doc.at("i").kind(), JsonValue::Kind::kInt);
+  EXPECT_DOUBLE_EQ(doc.at("i").as_double(), -42.0);
   EXPECT_DOUBLE_EQ(doc.at("d").as_double(), 1.5);
   EXPECT_TRUE(doc.at("t").as_bool());
   ASSERT_EQ(doc.at("arr").as_array().size(), 2U);

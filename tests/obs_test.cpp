@@ -29,6 +29,12 @@ using obs::Histogram;
 using obs::JsonWriter;
 using obs::Registry;
 
+std::string to_json(const obs::Snapshot& snapshot) {
+  JsonWriter w;
+  snapshot.write(w);
+  return w.take();
+}
+
 // ------------------------------------------------------------- JsonWriter
 
 TEST(JsonWriter, ObjectsArraysAndCommas) {
@@ -83,8 +89,6 @@ TEST(Counter, ConcurrentAddsSumExactly) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(c.value(), kThreads * kAdds);
-  c.reset();
-  EXPECT_EQ(c.value(), 0U);
 }
 
 // -------------------------------------------------------------- Histogram
@@ -117,6 +121,7 @@ TEST(Histogram, BucketBoundaries) {
 TEST(Histogram, CountsSumsAndExactEndpoints) {
   Histogram h;
   EXPECT_EQ(h.percentile(50.0), 0U);  // empty
+  EXPECT_EQ(h.min(), 0U);
   for (std::uint64_t v : {3U, 9U, 17U, 900U, 40000U}) h.record(v);
   EXPECT_EQ(h.count(), 5U);
   EXPECT_EQ(h.sum(), 3U + 9U + 17U + 900U + 40000U);
@@ -150,10 +155,6 @@ TEST(Histogram, PercentileWithinOneOctave) {
     EXPECT_EQ(Histogram::bucket_index(est), Histogram::bucket_index(exact))
         << "q=" << q << " exact=" << exact << " est=" << est;
   }
-  h.reset();
-  EXPECT_EQ(h.count(), 0U);
-  EXPECT_EQ(h.min(), 0U);
-  EXPECT_EQ(h.percentile(50.0), 0U);
 }
 
 // --------------------------------------------------------------- Registry
@@ -166,34 +167,31 @@ TEST(Registry, SnapshotShape) {
   r.gauge("g").max_of(5);  // high-watermark keeps 7
   r.histogram("h").record(4);
   r.register_probe("p", [] { return std::uint64_t{42}; });
-  EXPECT_EQ(r.snapshot_json(),
+  EXPECT_EQ(to_json(r.snapshot()),
             "{\"counters\":{\"a.first\":1,\"z.last\":3},"
             "\"gauges\":{\"g\":7},"
             "\"histograms\":{\"h\":{\"count\":1,\"sum\":4,\"min\":4,\"max\":4,"
             "\"p50\":4,\"p90\":4,\"p99\":4}},"
             "\"probes\":{\"p\":42}}");
-  // Same name -> same instrument; reset zeroes values, not identity.
+  // Same name -> same instrument.
   Counter& c = r.counter("a.first");
-  r.reset();
-  EXPECT_EQ(c.value(), 0U);
+  EXPECT_EQ(&r.counter("a.first"), &c);
   c.add(2);
-  EXPECT_EQ(r.counter("a.first").value(), 2U);
+  EXPECT_EQ(r.counter("a.first").value(), 3U);
 }
 
-TEST(Registry, LabeledInstrumentsAreDistinctAndSorted) {
+TEST(Registry, LabeledCountersAreDistinctAndSorted) {
   Registry r;
   r.counter("net.drop", "3->7").add(2);
   r.counter("net.drop", "1->2").add(1);
   r.counter("net.drop").add(5);  // unlabeled base coexists
-  r.gauge("depth", "g0").set(4);
-  r.histogram("lat", "leo").record(8);
   // Same (base, label) -> same instrument.
   EXPECT_EQ(&r.counter("net.drop", "3->7"), &r.counter("net.drop", "3->7"));
   EXPECT_NE(&r.counter("net.drop", "3->7"), &r.counter("net.drop", "1->2"));
   EXPECT_EQ(r.counter("net.drop", "3->7").value(), 2U);
   // Snapshots carry the full `base{label}` names, sorted like everything
   // else (deterministic export order).
-  const std::string snap = r.snapshot_json();
+  const std::string snap = to_json(r.snapshot());
   const std::size_t plain = snap.find("\"net.drop\":5");
   const std::size_t l12 = snap.find("\"net.drop{1->2}\":1");
   const std::size_t l37 = snap.find("\"net.drop{3->7}\":2");
@@ -202,8 +200,6 @@ TEST(Registry, LabeledInstrumentsAreDistinctAndSorted) {
   ASSERT_NE(l37, std::string::npos) << snap;
   EXPECT_LT(plain, l12);
   EXPECT_LT(l12, l37);
-  EXPECT_NE(snap.find("\"depth{g0}\":4"), std::string::npos) << snap;
-  EXPECT_NE(snap.find("\"lat{leo}\""), std::string::npos) << snap;
 }
 
 TEST(Registry, LabelCardinalityCapCoalescesIntoOverflow) {
@@ -254,7 +250,7 @@ TEST(Registry, SnapshotDeltaSubtraction) {
   EXPECT_EQ(d.histograms.at("h").sum, 800U);
   EXPECT_EQ(d.histograms.at("h").max, 500U);
   // The delta serializes through the same deterministic writer.
-  EXPECT_NE(d.to_json().find("\"c\":5"), std::string::npos);
+  EXPECT_NE(to_json(d).find("\"c\":5"), std::string::npos);
 }
 
 TEST(Registry, ScopedSnapshotDeltaMeasuresOnlyItsWindow) {
@@ -279,14 +275,19 @@ struct TraceFixture {
   }
   ~TraceFixture() {
     obs::set_trace_enabled(false);
-    obs::set_ring_capacity(16384);
     obs::clear();
   }
 };
 
+/// Starts the calling thread on a fresh ring exported under `track`.
+void use_track(const char* track) {
+  obs::TraceState state{{}, 0, track};
+  obs::swap_thread_state(state);
+}
+
 TEST(Trace, SpanNestingOrder) {
   TraceFixture fixture;
-  obs::set_thread_track("t0");
+  use_track("t0");
   {
     OBS_SPAN("outer", "test");
     OBS_INSTANT("mid", "test");
@@ -309,18 +310,28 @@ TEST(Trace, SpanNestingOrder) {
 
 TEST(Trace, RingWrapKeepsLastEvents) {
   TraceFixture fixture;
-  obs::set_ring_capacity(4);
-  obs::clear();  // apply the capacity to this thread's next ring
-  obs::set_thread_track("wrap");
+  use_track("wrap");
+  // Four named events, a ring's worth of filler, four more named events:
+  // the ring wraps by exactly four.
   static const char* const kNames[8] = {"e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"};
-  for (int i = 0; i < 8; ++i) obs::emit(obs::Phase::kInstant, kNames[i], "test");
-  const std::string dump = obs::dump_recent(64);
-  // Flight-recorder semantics: only the newest 4 events survive the wrap.
-  EXPECT_EQ(dump.find("test/e3"), std::string::npos) << dump;
-  for (int i = 4; i < 8; ++i) {
-    EXPECT_NE(dump.find(std::string("test/") + kNames[i]), std::string::npos) << dump;
+  for (int i = 0; i < 4; ++i) obs::emit(obs::Phase::kInstant, kNames[i], "test");
+  for (std::size_t i = 4; i < obs::kRingCapacity; ++i) {
+    obs::emit(obs::Phase::kInstant, "fill", "test");
   }
+  for (int i = 4; i < 8; ++i) obs::emit(obs::Phase::kInstant, kNames[i], "test");
+  const std::string dump = obs::dump_recent(2 * obs::kRingCapacity);
+  // Flight-recorder semantics: the oldest events are overwritten, the
+  // newest kRingCapacity survive.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(dump.find(std::string("test/") + kNames[i] + "\n"), std::string::npos) << i;
+  }
+  for (int i = 4; i < 8; ++i) {
+    EXPECT_NE(dump.find(std::string("test/") + kNames[i] + "\n"), std::string::npos) << i;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(std::count(dump.begin(), dump.end(), '\n')),
+            obs::kRingCapacity);
   // Oldest-first within the ring.
+  EXPECT_LT(dump.find("test/fill"), dump.find("test/e4"));
   EXPECT_LT(dump.find("test/e4"), dump.find("test/e7"));
 }
 
@@ -329,7 +340,7 @@ TEST(Trace, CrossThreadTracksAreDeterministicallyOrdered) {
   // Two producer threads, each with its own named track. Registration
   // order is racy; the export must not depend on it.
   auto produce = [](const char* track, const char* name) {
-    obs::set_thread_track(track);
+    use_track(track);
     for (int i = 0; i < 3; ++i) obs::emit(obs::Phase::kInstant, name, "test");
   };
   std::thread a(produce, "track-a", "from-a");
@@ -413,32 +424,28 @@ TEST(Trace, ScenarioExportIsBitDeterministicAndSpansEveryLayer) {
 }
 
 TEST(Registry, AbsorbsLayerCountersDuringAScenario) {
-  Registry& r = Registry::global();
-  r.reset();
+  const obs::ScopedSnapshotDelta window;
   const sim::Metrics metrics = sim::ScenarioRunner(obs_scenario()).run();
   ASSERT_TRUE(metrics.form_success);
-  EXPECT_GT(r.counter("wire.encodes").value(), 0U);
-  EXPECT_GT(r.counter("wire.decodes").value(), 0U);
-  EXPECT_GT(r.counter("net.tx_frames").value(), 0U);
-  EXPECT_GT(r.counter("net.rx_copies").value(), 0U);
-  EXPECT_GT(r.counter("engine.resumes").value(), 0U);
-  EXPECT_GT(r.counter("engine.rounds").value(), 0U);
-  EXPECT_GT(r.counter("cluster.rekeys").value(), 0U);
-  EXPECT_GT(r.histogram("wire.frame_bytes").count(), 0U);
+  const obs::Snapshot d = window.delta();
+  for (const char* name : {"wire.encodes", "wire.decodes", "net.tx_frames", "net.rx_copies",
+                           "engine.resumes", "engine.rounds", "cluster.rekeys"}) {
+    EXPECT_TRUE(d.counters.contains(name)) << name;
+  }
+  ASSERT_TRUE(d.histograms.contains("wire.frame_bytes"));
+  EXPECT_GT(d.histograms.at("wire.frame_bytes").count, 0U);
   // The crypto probes surface mpint::op_counts in the snapshot.
-  EXPECT_NE(r.snapshot_json().find("\"crypto.exps\":"), std::string::npos);
-  const std::string snap = r.snapshot_json();
+  const std::string snap = to_json(d);
   const std::size_t pos = snap.find("\"crypto.exps\":");
-  ASSERT_NE(pos, std::string::npos);
+  ASSERT_NE(pos, std::string::npos) << snap;
   EXPECT_NE(snap[pos + 14], '0');  // prime generation alone costs exps
 }
 
 TEST(Registry, LabeledDimensionsAppearDuringAScenario) {
-  Registry& r = Registry::global();
-  r.reset();
+  const obs::ScopedSnapshotDelta window;
   const sim::Metrics metrics = sim::ScenarioRunner(obs_scenario()).run();
   ASSERT_TRUE(metrics.form_success);
-  const std::string snap = r.snapshot_json();
+  const std::string snap = to_json(window.delta());
   // ScenarioRunner labels the hierarchical session with the scenario name,
   // so the cluster counters carry a per-group dimension...
   EXPECT_NE(snap.find("\"cluster.rekeys{obs-trace}\":"), std::string::npos) << snap;
@@ -471,7 +478,7 @@ TEST(TraceCrashDumpDeathTest, UncaughtExceptionDumpsStderrBannerAndValidJson) {
       {
         obs::clear();
         obs::set_trace_enabled(true);  // installs the crash-dump handlers
-        obs::set_thread_track("doomed");
+        use_track("doomed");
         OBS_INSTANT("crash.prelude", "test");
         { OBS_SPAN("crash.scope", "test"); }
         throw_uncaught();

@@ -43,11 +43,14 @@ TatePairing* PairingFixture::tate_ = nullptr;
 
 TEST(Fp2Arithmetic, FieldAxioms) {
   const Fp2Ctx f(BigInt{103});  // 103 % 4 == 3
-  const Fp2 a = f.make(BigInt{17}, BigInt{42});
-  const Fp2 b = f.make(BigInt{88}, BigInt{5});
-  const Fp2 c = f.make(BigInt{3}, BigInt{99});
+  const Fp2 a{BigInt{17}, BigInt{42}};
+  const Fp2 b{BigInt{88}, BigInt{5}};
+  const Fp2 c{BigInt{3}, BigInt{99}};
+  const auto add = [&](const Fp2& x, const Fp2& y) {
+    return Fp2{(x.re + y.re).mod(f.p()), (x.im + y.im).mod(f.p())};
+  };
   EXPECT_EQ(f.mul(a, b), f.mul(b, a));
-  EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
+  EXPECT_EQ(f.mul(a, add(b, c)), add(f.mul(a, b), f.mul(a, c)));
   EXPECT_EQ(f.mul(a, f.one()), a);
   EXPECT_EQ(f.sqr(a), f.mul(a, a));
   EXPECT_EQ(f.mul(a, f.inv(a)), f.one());
@@ -56,20 +59,20 @@ TEST(Fp2Arithmetic, FieldAxioms) {
 
 TEST(Fp2Arithmetic, ISquaredIsMinusOne) {
   const Fp2Ctx f(BigInt{103});
-  const Fp2 i = f.make(BigInt{}, BigInt{1});
-  EXPECT_EQ(f.mul(i, i), f.make(BigInt{102}, BigInt{}));  // -1 mod 103
+  const Fp2 i{BigInt{}, BigInt{1}};
+  EXPECT_EQ(f.mul(i, i), (Fp2{BigInt{102}, BigInt{}}));  // -1 mod 103
 }
 
 TEST(Fp2Arithmetic, ConjAndNormInFp) {
   const Fp2Ctx f(BigInt{103});
-  const Fp2 a = f.make(BigInt{17}, BigInt{42});
+  const Fp2 a{BigInt{17}, BigInt{42}};
   const Fp2 norm = f.mul(a, f.conj(a));
   EXPECT_TRUE(norm.im.is_zero());  // a * conj(a) lies in F_p
 }
 
 TEST(Fp2Arithmetic, PowMatchesRepeatedMul) {
   const Fp2Ctx f(BigInt{103});
-  const Fp2 a = f.make(BigInt{17}, BigInt{42});
+  const Fp2 a{BigInt{17}, BigInt{42}};
   Fp2 acc = f.one();
   for (int e = 0; e < 20; ++e) {
     EXPECT_EQ(f.pow(a, BigInt{e}), acc) << e;

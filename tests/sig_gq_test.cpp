@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "energy/profiles.h"
 #include "hash/hmac_drbg.h"
 
 namespace idgka::sig {
@@ -192,11 +193,9 @@ TEST_F(GqFixture, BatchRejectsSwappedIdentities) {
   EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.identities, b.s, b.c, b.z));
 }
 
-TEST_F(GqFixture, SignatureBitsMatchPaperShape) {
+TEST(GqAccounting, SignatureBitsMatchPaperShape) {
   // |s| = |n|, |c| = 160 -> 1184 bits for the 1024-bit paper profile.
-  GqParams paper_like{BigInt{1} << 1023, BigInt{65537}};
-  paper_like.n += BigInt{1};  // 1024-bit odd stand-in
-  EXPECT_EQ(gq_signature_bits(paper_like), 1024U + 160U);
+  EXPECT_EQ(energy::wire::kGqSigBits, energy::wire::kGqModulusBits + 160);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,8 +38,23 @@ MatrixConfig small_config() {
   return cfg;
 }
 
+/// Runs the small sweep in a fresh process and returns its report JSON. The
+/// threadsafe death-test style re-executes this binary for the statement,
+/// so the sweep starts from an untouched registry, as every matrix_report
+/// run does (histogram summaries in the cell deltas are cumulative).
+std::string run_in_fresh_process(const std::string& path) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::ofstream(path) << MatrixRunner(small_config()).run().to_json();
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 TEST(Matrix, SweepCoversEveryCellAndConverges) {
-  obs::Registry::global().reset();
   const MatrixReport report = MatrixRunner(small_config()).run();
   ASSERT_EQ(report.cells.size(), 12U);  // 2 topo x 3 link x 2 loss x 1 churn
   std::set<std::string> ids;
@@ -92,13 +110,9 @@ TEST(Matrix, SweepCoversEveryCellAndConverges) {
 }
 
 TEST(Matrix, SameSeedReportIsByteIdentical) {
-  // The registry is process-global and histogram summaries are cumulative,
-  // so run-twice determinism is defined over a reset registry (the CI
-  // smoke job gets it for free: fresh process per run).
-  obs::Registry::global().reset();
-  const std::string first = MatrixRunner(small_config()).run().to_json();
-  obs::Registry::global().reset();
-  const std::string second = MatrixRunner(small_config()).run().to_json();
+  const std::string first = run_in_fresh_process(testing::TempDir() + "matrix_first.json");
+  const std::string second = run_in_fresh_process(testing::TempDir() + "matrix_second.json");
+  ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 
   // And the JSON is a parseable report with the full cell set.
@@ -114,7 +128,6 @@ TEST(Matrix, SameSeedReportIsByteIdentical) {
 }
 
 TEST(Matrix, MarkdownListsEveryCell) {
-  obs::Registry::global().reset();
   const MatrixReport report = MatrixRunner(small_config()).run();
   const std::string md = report.to_markdown();
   EXPECT_NE(md.find("| cell |"), std::string::npos);

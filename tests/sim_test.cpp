@@ -92,8 +92,10 @@ TEST(Scheduler, PastTimesClampToNow) {
   sched.run_until(50);
   SimTime fired = 0;
   sched.at(10, [&] { fired = sched.now(); });  // in the past: runs "now"
-  EXPECT_EQ(sched.run_all(), 50U);
+  EXPECT_EQ(*sched.next_event_time(), 50U);
+  sched.run_until(*sched.next_event_time());
   EXPECT_EQ(fired, 50U);
+  EXPECT_EQ(sched.now(), 50U);
 }
 
 // --------------------------------------------------------------- LinkModel
@@ -152,7 +154,7 @@ TEST(Battery, IdleDrainKillsAtCapacity) {
   EXPECT_EQ(bank.first_death_us().value(), 10'000U);
   // Dead nodes stop draining.
   EXPECT_FALSE(bank.tick(1, 20'000));
-  EXPECT_DOUBLE_EQ(bank.consumed_mj(1), 10.0);
+  EXPECT_DOUBLE_EQ(bank.total_consumed_mj(), 10.0);
 }
 
 TEST(Battery, LedgerResetsAreBanked) {
@@ -162,7 +164,7 @@ TEST(Battery, LedgerResetsAreBanked) {
   energy::Ledger big;
   big.tx_bits = 100'000;
   bank.update(1, big, 1'000);
-  const double after_big = bank.consumed_mj(1);
+  const double after_big = bank.total_consumed_mj();
   EXPECT_GT(after_big, 0.0);
   // A shrunken ledger means the member's session state was rebuilt; the
   // integral stays continuous — neither dropping the old tenure nor
@@ -170,12 +172,12 @@ TEST(Battery, LedgerResetsAreBanked) {
   energy::Ledger small;
   small.tx_bits = 1'000;
   bank.update(1, small, 2'000);
-  EXPECT_NEAR(bank.consumed_mj(1), after_big, 1e-9);
+  EXPECT_NEAR(bank.total_consumed_mj(), after_big, 1e-9);
   // ...and the fresh tenure accrues on top of the banked one.
   energy::Ledger grown = small;
   grown.tx_bits = 50'000;
   bank.update(1, grown, 3'000);
-  EXPECT_GT(bank.consumed_mj(1), after_big);
+  EXPECT_GT(bank.total_consumed_mj(), after_big);
 }
 
 // ---------------------------------------------------------------- Metrics
