@@ -158,7 +158,6 @@ Point Curve::add(const Point& p1, const Point& p2) const {
   return from_jac(jac_add(to_jac(p1), to_jac(p2)));
 }
 
-
 Point Curve::mul(const BigInt& k_in, const Point& pt) const {
   return mul_raw(k_in.mod(n_), pt);
 }

@@ -203,7 +203,6 @@ energy::Ledger impl_initial_ledger(Scheme scheme, std::size_t n) {
   return l;
 }
 
-
 std::map<Role, energy::Ledger> impl_dynamic_ledgers(DynamicEvent event, std::size_t n,
                                                     std::size_t m, std::size_t ld,
                                                     std::size_t z_bits, std::size_t gq_bits) {

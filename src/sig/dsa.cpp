@@ -156,5 +156,4 @@ bool dsa_batch_verify(const DsaParams& params, const mpint::ModContext& ctx_p,
   return ctx_p.multi_exp(lhs_bases, lhs_exps) == ctx_p.multi_exp(rhs_bases, rhs_exps);
 }
 
-
 }  // namespace idgka::sig

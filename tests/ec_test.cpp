@@ -104,7 +104,6 @@ Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
   }
 }
 
-
 TEST(NamedCurves, Secp160r1GeneratorOnCurveAndOrder) {
   const Curve& c = secp160r1();
   EXPECT_TRUE(c.is_on_curve(c.generator()));
