@@ -532,8 +532,15 @@ const BigInt& HierarchicalSession::group_key() const {
 
 bool HierarchicalSession::all_members_agree() const {
   if (group_key_.is_zero() || member_view_.size() != size()) return false;
-  return std::all_of(member_view_.begin(), member_view_.end(),
-                     [&](const auto& kv) { return kv.second == group_key_; });
+  // Look every current member up: a view left under a departed id must not
+  // stand in for a member that has none.
+  return std::all_of(clusters_.begin(), clusters_.end(), [&](const auto& cluster) {
+    const auto& ms = cluster->members();
+    return std::all_of(ms.begin(), ms.end(), [&](const gka::MemberCtx& m) {
+      const auto it = member_view_.find(m.cred.id);
+      return it != member_view_.end() && it->second == group_key_;
+    });
+  });
 }
 
 std::size_t HierarchicalSession::size() const {

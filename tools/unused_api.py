@@ -15,7 +15,7 @@ target was not built (a skipped target, such as bench_protocols without
 Google Benchmark, would make everything only it reaches look unused).
 
 Usage:
-    python3 tools/unused_api.py [--build-dir build-probe] [--jobs 4] [--no-build]
+    python3 tools/unused_api.py [--build-dir build-probe]
 """
 import argparse
 import glob
@@ -59,12 +59,12 @@ def expected_targets():
     return targets
 
 
-def build(build_dir, jobs):
+def build(build_dir):
     sections = "-ffunction-sections -fdata-sections"
     run(["cmake", "-S", ROOT, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Debug",
          "-DCMAKE_CXX_FLAGS_DEBUG=-O0", f"-DCMAKE_CXX_FLAGS={sections}",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections", "-DIDGKA_BUILD_TESTS=OFF"])
-    run(["cmake", "--build", build_dir, "-j", str(jobs)])
+    run(["cmake", "--build", build_dir, "-j", str(os.cpu_count() or 2)])
     # perfbench is its own CMake project around the same library; link its
     # one source against the archive built above instead of building it twice.
     run(["c++", "-std=c++20", "-O0", *sections.split(), "-I", os.path.join(ROOT, "src"),
@@ -121,13 +121,10 @@ def in_idgka(name):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--build-dir", default=os.path.join(ROOT, "build-probe"))
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
-    ap.add_argument("--no-build", action="store_true", help="reuse an existing probe build")
     args = ap.parse_args()
     build_dir = os.path.abspath(args.build_dir)
 
-    if not args.no_build:
-        build(build_dir, args.jobs)
+    build(build_dir)
     targets = expected_targets()
     missing = [t for t in targets if not os.path.isfile(os.path.join(build_dir, t))]
     if missing:
