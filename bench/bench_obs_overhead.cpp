@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -103,9 +104,8 @@ double run_once(const sim::ScenarioConfig& cfg, const char* leg_name) {
   return ms;
 }
 
-/// Minimal extraction of `"<leg>"` ... `"wall_ms_median":<double>` from a
-/// BENCH_obs.json written by this program (any build). Falls back to
-/// wall_ms_min for baselines written before the median rework.
+/// legs[name == leg].wall_ms_median of a BENCH_obs.json written by this
+/// program (any build). A missing file, leg or field is a hard failure.
 double baseline_ms(const std::string& path, const char* leg) {
   std::ifstream in(path);
   if (!in) {
@@ -114,19 +114,16 @@ double baseline_ms(const std::string& path, const char* leg) {
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
-  const std::size_t at = text.find(std::string("\"name\":\"") + leg + '"');
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "FAILED: baseline %s has no %s leg\n", path.c_str(), leg);
+  try {
+    const obs::json::JsonValue doc = obs::json::parse(ss.str());
+    for (const obs::json::JsonValue& entry : doc.at("legs").as_array()) {
+      if (entry.at("name").as_string() == leg) return entry.at("wall_ms_median").as_double();
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "FAILED: baseline %s: %s\n", path.c_str(), e.what());
     std::exit(1);
   }
-  for (const char* key : {"\"wall_ms_median\":", "\"wall_ms_min\":"}) {
-    const std::size_t pos = text.find(key, at);
-    if (pos != std::string::npos) {
-      return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-    }
-  }
-  std::fprintf(stderr, "FAILED: baseline %s leg %s has no wall_ms field\n", path.c_str(), leg);
+  std::fprintf(stderr, "FAILED: baseline %s has no %s leg\n", path.c_str(), leg);
   std::exit(1);
 }
 

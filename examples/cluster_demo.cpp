@@ -1,5 +1,5 @@
 // Hierarchical clustering demo: a 100-node ad hoc deployment with bounded
-// clusters, a batched churn burst, and the deployment-wide energy roll-up.
+// clusters, a churn burst applied as one update, and the deployment-wide energy roll-up.
 //
 // Build & run:  ./examples/cluster_demo
 #include <cstdio>
@@ -12,12 +12,10 @@ int main() {
 
   gka::Authority authority(gka::SecurityProfile::kTest, /*seed=*/2026);
 
-  // 100 nodes, clusters bounded to [6, 20] members, bursts of up to 32
-  // membership events coalesced into one rekey round.
+  // 100 nodes, clusters bounded to [6, 20] members.
   cluster::ClusterConfig cfg;
   cfg.min_cluster = 6;
   cfg.max_cluster = 20;
-  cfg.batch_capacity = 32;
   std::vector<std::uint32_t> ids;
   for (std::uint32_t i = 0; i < 100; ++i) ids.push_back(100 + i);
 
@@ -32,11 +30,13 @@ int main() {
               session.group_key().to_hex().substr(0, 24).c_str(),
               session.all_members_agree() ? "yes" : "no");
 
-  // A churn burst: ten arrivals and eight departures, applied as one batch —
+  // A churn burst: ten arrivals and eight departures, applied as one update —
   // one head-tier rekey + one downward key distribution for all 18 events.
-  for (std::uint32_t i = 0; i < 10; ++i) (void)session.enqueue_join(500 + i);
-  for (std::uint32_t i = 0; i < 8; ++i) (void)session.enqueue_leave(110 + 3 * i);
-  const cluster::EventSummary burst = session.flush();
+  std::vector<std::uint32_t> joiners;
+  std::vector<std::uint32_t> leavers;
+  for (std::uint32_t i = 0; i < 10; ++i) joiners.push_back(500 + i);
+  for (std::uint32_t i = 0; i < 8; ++i) leavers.push_back(110 + 3 * i);
+  const cluster::EventSummary burst = session.update(leavers, joiners);
   std::printf("\nburst: %zu events in one rekey round (epoch %llu), %zu leaf runs, "
               "%zu splits, %zu merges\n",
               burst.events_applied, static_cast<unsigned long long>(burst.epoch),

@@ -20,8 +20,6 @@ struct ClusterConfig {
   /// Clusters above this size are split into two halves; a head set above
   /// it becomes a nested tier of its own (heads-of-heads).
   std::size_t max_cluster = 48;
-  /// Enqueued events auto-flush into one rekey round at this queue depth.
-  std::size_t batch_capacity = 32;
   /// Observability dimension for this session's registry counters: when
   /// non-empty, rekeys and rekey retries are additionally counted as
   /// `cluster.rekeys{label}` / `cluster.rekey_retries{label}`. The sim
@@ -37,7 +35,6 @@ struct ClusterConfig {
     if (max_cluster < 2 * min_cluster) {
       throw std::invalid_argument("ClusterConfig: max_cluster must be >= 2 * min_cluster");
     }
-    if (batch_capacity == 0) throw std::invalid_argument("ClusterConfig: batch_capacity == 0");
   }
 };
 

@@ -90,63 +90,45 @@ EventSummary HierarchicalSession::form() {
   return summary;
 }
 
-EventSummary HierarchicalSession::join(std::uint32_t id) {
-  queue_.push({EventType::kJoin, id});
-  return flush();
-}
+EventSummary HierarchicalSession::join(std::uint32_t id) { return update({}, {id}); }
 
-EventSummary HierarchicalSession::leave(std::uint32_t id) {
-  queue_.push({EventType::kLeave, id});
-  return flush();
-}
+EventSummary HierarchicalSession::leave(std::uint32_t id) { return update({id}, {}); }
 
 EventSummary HierarchicalSession::partition(const std::vector<std::uint32_t>& leaver_ids) {
-  for (const std::uint32_t id : leaver_ids) queue_.push({EventType::kLeave, id});
-  return flush();
+  return update(leaver_ids, {});
 }
 
-std::optional<EventSummary> HierarchicalSession::enqueue_join(std::uint32_t id) {
-  queue_.push({EventType::kJoin, id});
-  if (queue_.size() >= config_.batch_capacity) return flush();
-  return std::nullopt;
-}
-
-std::optional<EventSummary> HierarchicalSession::enqueue_leave(std::uint32_t id) {
-  queue_.push({EventType::kLeave, id});
-  if (queue_.size() >= config_.batch_capacity) return flush();
-  return std::nullopt;
-}
-
-EventSummary HierarchicalSession::flush() {
+EventSummary HierarchicalSession::update(const std::vector<std::uint32_t>& leavers,
+                                         const std::vector<std::uint32_t>& joiners) {
   EventSummary summary;
   summary.success = true;
   summary.epoch = epoch_;
-  const std::vector<Event> events = queue_.drain();
-  if (events.empty()) return summary;
-  OBS_SPAN_ARG("cluster.flush", "cluster", events.size());
-  if (group_key_.is_zero()) throw std::logic_error("HierarchicalSession: flush before form()");
+  const std::size_t events = leavers.size() + joiners.size();
+  if (events == 0) return summary;
+  OBS_SPAN_ARG("cluster.update", "cluster", events);
+  if (group_key_.is_zero()) throw std::logic_error("HierarchicalSession: update before form()");
 
-  std::vector<std::uint32_t> joins;
-  std::vector<std::uint32_t> leaves;
-  for (const Event& e : events) {
-    (e.type == EventType::kJoin ? joins : leaves).push_back(e.id);
+  for (const auto* ids : {&leavers, &joiners}) {
+    if (std::set<std::uint32_t>(ids->begin(), ids->end()).size() != ids->size()) {
+      throw std::invalid_argument("update: duplicate id in one list");
+    }
   }
-  for (const std::uint32_t id : leaves) {
+  for (const std::uint32_t id : leavers) {
     if (!contains(id)) throw std::invalid_argument("leave: id not in group");
   }
-  if (size() - leaves.size() < 2) {
-    throw std::invalid_argument("flush: group would drop below 2 members");
+  if (size() - leavers.size() < 2) {
+    throw std::invalid_argument("update: group would drop below 2 members");
   }
-  // Joins must be validated up front too: rejecting one mid-batch (after the
+  // Joins must be validated up front too: rejecting one mid-round (after the
   // leaves were already applied) would abandon the round half-rekeyed.
-  for (const std::uint32_t id : joins) {
-    const bool departing = std::find(leaves.begin(), leaves.end(), id) != leaves.end();
+  for (const std::uint32_t id : joiners) {
+    const bool departing = std::find(leavers.begin(), leavers.end(), id) != leavers.end();
     if (contains(id) && !departing) throw std::invalid_argument("join: id already in group");
   }
-  summary.events_applied = events.size();
+  summary.events_applied = events;
 
-  apply_leaves(leaves, summary);
-  apply_joins(joins, summary);
+  apply_leaves(leavers, summary);
+  apply_joins(joiners, summary);
   rebalance(summary);
   update_head_tier();
   rekey_and_distribute();
@@ -166,7 +148,6 @@ EventSummary HierarchicalSession::merge(HierarchicalSession& other) {
   for (const std::uint32_t id : other.member_ids()) {
     if (contains(id)) throw std::invalid_argument("merge: member id present in both groups");
   }
-  other.flush();  // settle any pending events on the other side first
 
   // Adopt the other hierarchy's clusters wholesale — their leaf rings stay
   // intact; only the head tier is renegotiated. Adopted networks switch to
@@ -357,13 +338,11 @@ void HierarchicalSession::update_head_tier() {
     head_->rekey_rings(rekeyed_heads);
     return;
   }
-  // One batched tier round: the tier applies joins + leaves, rebalances its
-  // own clusters, recursively updates the tiers above it and re-seals its
-  // key downward. Departed heads' tier energy is retired inside the tier
-  // (see retired_ledger).
-  for (const std::uint32_t id : added) head_->queue_.push({EventType::kJoin, id});
-  for (const std::uint32_t id : removed) head_->queue_.push({EventType::kLeave, id});
-  head_->flush();
+  // One tier round: the tier applies leaves + joins, rebalances its own
+  // clusters, recursively updates the tiers above it and re-seals its key
+  // downward. Departed heads' tier energy is retired inside the tier (see
+  // retired_ledger).
+  head_->update(removed, added);
 }
 
 void HierarchicalSession::rekey_rings(const std::vector<std::uint32_t>& heads) {

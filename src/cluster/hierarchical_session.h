@@ -24,18 +24,17 @@
 // Clusters split when they outgrow max_cluster and are merged into a
 // neighbour when they underflow min_cluster, so the bound holds under
 // arbitrary churn — at every tier, because each tier applies the same
-// rules to its own cluster set. A burst of events can be enqueued and
-// flushed as one batch: all leaf-local changes are applied first and the
-// tier rekey + downward distribution run once for the whole batch.
+// rules to its own cluster set. Every membership change goes through one
+// update(leavers, joiners) call, the paper's Partition generalised to a set
+// of departures and arrivals: all leaf-local changes are applied first and
+// the tier rekey + downward distribution run once for the whole set.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "cluster/batch.h"
 #include "cluster/config.h"
 #include "cluster/report.h"
 #include "gka/session.h"
@@ -45,7 +44,7 @@ namespace idgka::cluster {
 
 using mpint::BigInt;
 
-/// Outcome of one hierarchical operation (form or a flushed batch).
+/// Outcome of one hierarchical operation (form, update or merge).
 struct EventSummary {
   bool success = false;
   /// Membership events applied in this round.
@@ -69,7 +68,15 @@ class HierarchicalSession {
   /// distributes the first group key.
   EventSummary form();
 
-  // --- Immediate membership events (enqueue + flush one event) ---
+  // --- Membership events ---
+  /// Departs `leavers`, then enrolls `joiners`, as one rekey round. Throws
+  /// before any change when called before form(), when a leaver is not a
+  /// member, when fewer than 2 members would remain, when a joiner is
+  /// already a member and not also leaving (an id in both lists departs
+  /// and re-enrolls with fresh key material) or when a list repeats an id.
+  /// Both lists empty is a no-op.
+  EventSummary update(const std::vector<std::uint32_t>& leavers,
+                      const std::vector<std::uint32_t>& joiners);
   EventSummary join(std::uint32_t id);
   EventSummary leave(std::uint32_t id);
   /// Batch departure (the paper's Partition, generalized across clusters).
@@ -77,15 +84,6 @@ class HierarchicalSession {
   /// Adopts every cluster of `other` wholesale (same authority
   /// required), rebuilds the head tier and rekeys. `other` is drained.
   EventSummary merge(HierarchicalSession& other);
-
-  // --- Batched membership events ---
-  /// Queues an event; flushes automatically (returning the summary) when
-  /// the queue reaches config.batch_capacity.
-  std::optional<EventSummary> enqueue_join(std::uint32_t id);
-  std::optional<EventSummary> enqueue_leave(std::uint32_t id);
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Applies all queued events as one rekey round.
-  EventSummary flush();
 
   // --- Introspection ---
   /// The authoritative group key (derived from the tier's key).
@@ -177,7 +175,6 @@ class HierarchicalSession {
   /// heads are the rings the tier above must re-form.
   std::vector<const gka::GroupSession*> rekeyed_;
 
-  EventQueue queue_;
   NetworkHook network_hook_;
   std::uint64_t epoch_ = 0;
   BigInt group_key_;

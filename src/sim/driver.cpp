@@ -1,5 +1,6 @@
 #include "sim/driver.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -8,6 +9,11 @@
 namespace idgka::sim {
 
 namespace {
+
+/// Ids a hierarchical admit enrolls per rekey round. A larger admit runs
+/// one round per chunk; making it one round at any size would move the
+/// admit's virtual latency and air bits, which needs its own measurement.
+constexpr std::size_t kAdmitChunk = 32;
 
 void validate(const DriverConfig& cfg) {
   if (cfg.round_timeout_us == 0) {
@@ -194,15 +200,14 @@ OpOutcome ProtocolDriver::admit(const std::vector<std::uint32_t>& ids) {
       }
       return all;
     }
-    // One rekey round for the whole batch: queue everything, flush once.
-    // enqueue_join may auto-flush at batch capacity; that still yields at
-    // most ceil(|ids| / capacity) rekeys instead of |ids|.
     bool all = true;
-    for (const std::uint32_t id : ids) {
-      if (const auto summary = hier_->enqueue_join(id)) all = all && summary->success;
+    for (std::size_t at = 0; at < ids.size(); at += kAdmitChunk) {
+      const std::size_t end = std::min(at + kAdmitChunk, ids.size());
+      const std::vector<std::uint32_t> chunk(ids.begin() + static_cast<std::ptrdiff_t>(at),
+                                             ids.begin() + static_cast<std::ptrdiff_t>(end));
+      all = hier_->update({}, chunk).success && all;
     }
-    const cluster::EventSummary final_summary = hier_->flush();
-    return all && final_summary.success;
+    return all;
   });
 }
 

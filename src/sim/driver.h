@@ -99,8 +99,8 @@ class ProtocolDriver {
   OpOutcome leave(std::uint32_t id);
   /// Batch departure; one rekey round for the whole set.
   OpOutcome partition(const std::vector<std::uint32_t>& ids);
-  /// Batch (re-)admission. Hierarchical sessions pay one rekey for the
-  /// whole batch; flat sessions join sequentially inside one timed span.
+  /// Batch (re-)admission. Hierarchical sessions pay one rekey per 32 ids;
+  /// flat sessions join sequentially inside one timed span.
   OpOutcome admit(const std::vector<std::uint32_t>& ids);
 
   // --- Session pass-throughs ---

@@ -47,7 +47,6 @@ class Scheduler {
   /// advances the clock to `horizon` (never backwards).
   void run_until(SimTime horizon);
 
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   /// Timestamp of the earliest pending event, or nullopt when idle. The
   /// engine's main loop advances the clock one occupied timestamp at a
   /// time with run_until(*next_event_time()).

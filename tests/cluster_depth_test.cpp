@@ -29,7 +29,6 @@ ClusterConfig deep_config() {
   ClusterConfig cfg;
   cfg.min_cluster = 2;
   cfg.max_cluster = 4;
-  cfg.batch_capacity = 8;
   return cfg;
 }
 
@@ -85,8 +84,7 @@ TEST(DepthKTest, ChurnIsDeterministicAcrossIdenticalRuns) {
     s.join(5000);
     s.leave(1003);
     s.partition({1010, 1011, 1012, 1013, 1020});
-    for (std::uint32_t id = 6000; id < 6012; ++id) s.enqueue_join(id);
-    s.flush();
+    s.update({}, make_ids(12, 6000));
     s.leave(5000);
   };
   drive(a);
@@ -114,8 +112,7 @@ TEST(DepthKTest, DepthCollapsesAndRegrowsUnderChurn) {
   expect_consistent(session, "after collapse");
 
   // Grow back past the nesting threshold: the deep tree must return.
-  for (std::uint32_t id = 9000; id < 9040; ++id) session.enqueue_join(id);
-  session.flush();
+  ASSERT_TRUE(session.update({}, make_ids(40, 9000)).success);
   EXPECT_EQ(session.size(), 48U);
   EXPECT_GE(session.depth(), 3U);
   expect_consistent(session, "after regrowth");
@@ -188,8 +185,7 @@ TEST(DepthKTest, MemberLedgersStayMonotonicAcrossTierTransitions) {
   EXPECT_GE(now, last);
   last = now;
 
-  for (std::uint32_t id = 9100; id < 9140; ++id) session.enqueue_join(id);
-  session.flush();
+  ASSERT_TRUE(session.update({}, make_ids(40, 9100)).success);
   ASSERT_GE(session.depth(), 3U);
   now = ledger_weight(session.member_ledger(tracked));
   EXPECT_GE(now, last);
@@ -273,7 +269,7 @@ TEST(DepthKTest, NonHeadLeaveRekeysOnlyTheTierPath) {
   EXPECT_LE(spent, leaf_ring + (depth - 1) * deep_config().max_cluster);
 }
 
-// One flush mixes a head's leave (the tier's own membership changes) with
+// One update mixes a head's leave (the tier's own membership changes) with
 // plain leaves and a join in clusters whose heads sit in other tier-2
 // rings; then churn crosses depth 3 <-> 4. Every step must leave all
 // members on one fresh key.
@@ -287,11 +283,12 @@ TEST(DepthKTest, MixedBatchesAndDepthChurnKeepOneFreshKey) {
   const std::vector<std::uint32_t> heads = session.cluster_heads();
   const std::size_t last = sizes.size() - 1;
   BigInt before = session.group_key();
-  session.enqueue_leave(heads[sizes.size() / 2]);
-  session.enqueue_leave(ids[1]);                     // plain member of the first cluster
-  session.enqueue_leave(ids[ids.size() - sizes[last] + 1]);  // ... and of the last
-  session.enqueue_join(7000);
-  ASSERT_TRUE(session.flush().success);
+  const std::vector<std::uint32_t> leavers{
+      heads[sizes.size() / 2],
+      ids[1],                             // plain member of the first cluster
+      ids[ids.size() - sizes[last] + 1],  // ... and of the last
+  };
+  ASSERT_TRUE(session.update(leavers, {7000}).success);
   EXPECT_NE(session.group_key(), before);
   expect_consistent(session, "after mixed batch");
 
@@ -309,17 +306,19 @@ TEST(DepthKTest, MixedBatchesAndDepthChurnKeepOneFreshKey) {
       // Mostly growth (or shrinkage), with one event of the other kind so
       // most batches mix joins and leaves.
       std::vector<std::uint32_t> members = session.member_ids();
+      std::vector<std::uint32_t> leavers;
+      std::vector<std::uint32_t> joiners;
       for (std::size_t i = 0, batch = 2 + next(5); i < batch; ++i) {
         if ((i == 0) == grow) {
           const std::size_t pick = next(members.size());
-          session.enqueue_leave(members[pick]);
+          leavers.push_back(members[pick]);
           members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
         } else {
-          session.enqueue_join(next_id++);
+          joiners.push_back(next_id++);
         }
       }
       before = session.group_key();
-      ASSERT_TRUE(session.flush().success);
+      ASSERT_TRUE(session.update(leavers, joiners).success);
       const std::string what = "phase " + std::to_string(phase) + " at n=" +
                                std::to_string(session.size());
       EXPECT_NE(session.group_key(), before) << what;
@@ -347,13 +346,12 @@ void expect_shape(const HierarchicalSession& session, const std::string& what) {
 
 // Grows the group past `high` members and shrinks it below `low`, twice,
 // in batches of 1-6 events (leaves pick members, heads included, at
-// random), checking the tree shape and key agreement after every flush.
+// random), checking the tree shape and key agreement after every update.
 void churn_across_max_cluster(std::size_t min_cluster, std::size_t max_cluster, std::size_t low,
                               std::size_t high) {
   ClusterConfig cfg;
   cfg.min_cluster = min_cluster;
   cfg.max_cluster = max_cluster;
-  cfg.batch_capacity = 64;
   HierarchicalSession session(tiny_authority(), cfg, make_ids(low), /*seed=*/41);
   ASSERT_TRUE(session.form().success);
   expect_shape(session, "after form");
@@ -370,17 +368,19 @@ void churn_across_max_cluster(std::size_t min_cluster, std::size_t max_cluster, 
     const bool grow = phase % 2 == 0;
     while (grow ? session.size() < high : session.size() > low) {
       const std::size_t batch = 1 + next(6);
+      std::vector<std::uint32_t> leavers;
+      std::vector<std::uint32_t> joiners;
       if (grow) {
-        for (std::size_t i = 0; i < batch; ++i) session.enqueue_join(next_id++);
+        for (std::size_t i = 0; i < batch; ++i) joiners.push_back(next_id++);
       } else {
         std::vector<std::uint32_t> ids = session.member_ids();
         for (std::size_t i = 0; i < batch && ids.size() > 2; ++i) {
           const std::size_t pick = next(ids.size());
-          session.enqueue_leave(ids[pick]);
+          leavers.push_back(ids[pick]);
           ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pick));
         }
       }
-      ASSERT_TRUE(session.flush().success);
+      ASSERT_TRUE(session.update(leavers, joiners).success);
       const std::string what = "phase " + std::to_string(phase) + " at n=" +
                                std::to_string(session.size());
       expect_shape(session, what);

@@ -1,5 +1,5 @@
 // Hierarchical cluster-based GKA: key consistency under churn at large n,
-// cluster-size invariants, event batching, and the aggregate roll-up.
+// cluster-size invariants, batched updates, and the aggregate roll-up.
 //
 // Correctness anchor: after every operation *every* current member's
 // decrypted view of the group key (received via its head's SealedBox rekey
@@ -36,44 +36,6 @@ void expect_bounds(const HierarchicalSession& session, const char* what) {
     EXPECT_LE(s, session.config().max_cluster) << what;
     if (sizes.size() > 1) EXPECT_GE(s, 2U) << what;
   }
-}
-
-TEST(EventQueueTest, CoalescesJoinLeavePairs) {
-  EventQueue q;
-  q.push({EventType::kJoin, 1});
-  q.push({EventType::kJoin, 1});  // duplicate dropped
-  EXPECT_EQ(q.size(), 1U);
-  q.push({EventType::kLeave, 1});  // cancels the pending join
-  EXPECT_TRUE(q.empty());
-  q.push({EventType::kLeave, 2});
-  q.push({EventType::kJoin, 2});  // existing member departs and re-enrolls
-  EXPECT_EQ(q.size(), 2U);
-  const auto events = q.drain();
-  EXPECT_TRUE(q.empty());
-  ASSERT_EQ(events.size(), 2U);
-  EXPECT_EQ(events[0].type, EventType::kLeave);
-  EXPECT_EQ(events[1].type, EventType::kJoin);
-}
-
-TEST(EventQueueTest, CoalescesAgainstLatestIntent) {
-  // leave, join, leave: the trailing leave cancels the re-enrollment — the
-  // member's final intent is to depart, so exactly one leave survives.
-  EventQueue q;
-  q.push({EventType::kLeave, 7});
-  q.push({EventType::kJoin, 7});
-  q.push({EventType::kLeave, 7});
-  auto events = q.drain();
-  ASSERT_EQ(events.size(), 1U);
-  EXPECT_EQ(events[0].type, EventType::kLeave);
-  // leave, join, join: the duplicate join is dropped against the latest
-  // intent (a second copy would poison the whole batch at flush time).
-  q.push({EventType::kLeave, 8});
-  q.push({EventType::kJoin, 8});
-  q.push({EventType::kJoin, 8});
-  events = q.drain();
-  ASSERT_EQ(events.size(), 2U);
-  EXPECT_EQ(events[0].type, EventType::kLeave);
-  EXPECT_EQ(events[1].type, EventType::kJoin);
 }
 
 TEST(Config, ValidatesBounds) {
@@ -200,12 +162,9 @@ TEST(Churn, MixedEventsN64) {
   expect_bounds(session, "mass partition");
 
   // Grow back enough to force splits.
-  EventSummary last{};
-  for (std::uint32_t id = 30000; id < 30040; ++id) {
-    if (auto flushed = session.enqueue_join(id)) last = *flushed;
-  }
-  last = session.flush();
-  ASSERT_TRUE(last.success);
+  const EventSummary grown = session.update({}, make_ids(40, 30000));
+  ASSERT_TRUE(grown.success);
+  EXPECT_GT(grown.splits, 0U);
   expect_consistent(session, "mass join");
   expect_bounds(session, "mass join");
   EXPECT_EQ(session.size(), 64U + 1 - 1 - 6 - 30 + 40);
@@ -219,9 +178,9 @@ TEST(Churn, MixedEventsN256) {
   ASSERT_TRUE(session.form().success);
   expect_consistent(session, "form n=256");
 
-  for (std::uint32_t i = 0; i < 10; ++i) session.enqueue_join(50000 + i);
-  for (std::uint32_t i = 0; i < 10; ++i) session.enqueue_leave(40000 + i * 17);
-  ASSERT_TRUE(session.flush().success);
+  std::vector<std::uint32_t> leavers;
+  for (std::uint32_t i = 0; i < 10; ++i) leavers.push_back(40000 + i * 17);
+  ASSERT_TRUE(session.update(leavers, make_ids(10, 50000)).success);
   expect_consistent(session, "batched churn n=256");
   expect_bounds(session, "batched churn n=256");
   EXPECT_EQ(session.size(), 256U);
@@ -233,7 +192,6 @@ TEST(Churn, MixedEventsN1024WithFiftyEventBurst) {
   ClusterConfig cfg;
   cfg.min_cluster = 8;
   cfg.max_cluster = 48;
-  cfg.batch_capacity = 64;  // hold the whole burst in one round
   HierarchicalSession session(tiny_authority(), cfg, make_ids(1024, 100000), 8);
   ASSERT_TRUE(session.form().success);
   EXPECT_EQ(session.size(), 1024U);
@@ -241,9 +199,9 @@ TEST(Churn, MixedEventsN1024WithFiftyEventBurst) {
   expect_consistent(session, "form n=1024");
   const std::uint64_t epoch_before = session.epoch();
 
-  for (std::uint32_t i = 0; i < 25; ++i) session.enqueue_join(200000 + i);
-  for (std::uint32_t i = 0; i < 25; ++i) session.enqueue_leave(100000 + i * 37);
-  const EventSummary summary = session.flush();
+  std::vector<std::uint32_t> leavers;
+  for (std::uint32_t i = 0; i < 25; ++i) leavers.push_back(100000 + i * 37);
+  const EventSummary summary = session.update(leavers, make_ids(25, 200000));
   ASSERT_TRUE(summary.success);
   EXPECT_EQ(summary.events_applied, 50U);
   EXPECT_EQ(session.size(), 1024U);
@@ -272,14 +230,13 @@ TEST(Churn, SurvivesLossyNetworks) {
 }
 
 TEST(Batching, CoalescedBurstCostsFewerBroadcasts) {
-  // The same 12-event burst, once as a single flushed batch and once as 12
+  // The same 12-event burst, once as a single update and once as 12
   // sequential events: batching must send fewer broadcast messages (and
   // fewer bits), because the head-tier rekey + downward distribution run
   // once instead of 12 times.
   ClusterConfig cfg;
   cfg.min_cluster = 4;
   cfg.max_cluster = 12;
-  cfg.batch_capacity = 64;
 
   HierarchicalSession batched(tiny_authority(), cfg, make_ids(48, 300000), 10);
   HierarchicalSession sequential(tiny_authority(), cfg, make_ids(48, 400000), 10);
@@ -289,9 +246,9 @@ TEST(Batching, CoalescedBurstCostsFewerBroadcasts) {
   const std::uint64_t batched_base = batched.report().traffic.tx_messages;
   const std::uint64_t sequential_base = sequential.report().traffic.tx_messages;
 
-  for (std::uint32_t i = 0; i < 6; ++i) batched.enqueue_join(310000 + i);
-  for (std::uint32_t i = 0; i < 6; ++i) batched.enqueue_leave(300000 + 2 * i);
-  ASSERT_TRUE(batched.flush().success);
+  std::vector<std::uint32_t> leavers;
+  for (std::uint32_t i = 0; i < 6; ++i) leavers.push_back(300000 + 2 * i);
+  ASSERT_TRUE(batched.update(leavers, make_ids(6, 310000)).success);
 
   for (std::uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(sequential.join(410000 + i).success);
   for (std::uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(sequential.leave(400000 + 2 * i).success);
@@ -345,16 +302,70 @@ TEST(Validation, RejectsBadEvents) {
   std::vector<std::uint32_t> all;
   for (std::uint32_t i = 0; i < 7; ++i) all.push_back(700000 + i);
   EXPECT_THROW((void)session.partition(all), std::invalid_argument);
-  // A duplicate join mixed into an otherwise-valid batch is rejected up
+  // A member's join mixed into an otherwise-valid update is rejected up
   // front — before any leaf ring is touched — so the session stays on the
   // current epoch with every view intact.
   const std::uint64_t epoch = session.epoch();
-  session.enqueue_leave(700002);
-  session.enqueue_join(700004);  // already a member, not departing
-  EXPECT_THROW((void)session.flush(), std::invalid_argument);
+  // 700004 is already a member and not departing.
+  EXPECT_THROW((void)session.update({700002}, {700004}), std::invalid_argument);
   EXPECT_EQ(session.epoch(), epoch);
   EXPECT_EQ(session.size(), 8U);
-  expect_consistent(session, "after rejected mixed batch");
+  expect_consistent(session, "after rejected mixed update");
+}
+
+TEST(Validation, RejectsDuplicateIdsWithinOneList) {
+  ClusterConfig cfg;
+  cfg.min_cluster = 4;
+  cfg.max_cluster = 12;
+  HierarchicalSession session(tiny_authority(), cfg, make_ids(24, 710000), 16);
+  ASSERT_TRUE(session.form().success);
+  const std::uint64_t epoch = session.epoch();
+  const std::vector<std::uint32_t> members = session.member_ids();
+  EXPECT_THROW((void)session.update({710003, 710003}, {}), std::invalid_argument);
+  EXPECT_THROW((void)session.update({}, {719000, 719000}), std::invalid_argument);
+  EXPECT_THROW((void)session.update({710005}, {719001, 719002, 719001}), std::invalid_argument);
+  EXPECT_EQ(session.epoch(), epoch);
+  EXPECT_EQ(session.member_ids(), members);
+  expect_consistent(session, "after rejected duplicates");
+}
+
+TEST(Update, LeaveAndJoinOfOneMemberReEnrollsIt) {
+  // An id in both lists departs and re-enrolls within one round: it stays a
+  // member, the group size is unchanged, and its key material is fresh.
+  ClusterConfig cfg;
+  cfg.min_cluster = 4;
+  cfg.max_cluster = 12;
+  HierarchicalSession session(tiny_authority(), cfg, make_ids(24, 720000), 17);
+  ASSERT_TRUE(session.form().success);
+  const std::uint64_t epoch = session.epoch();
+  const BigInt key = session.group_key();
+
+  const EventSummary summary = session.update({720005}, {720005});
+  ASSERT_TRUE(summary.success);
+  EXPECT_EQ(summary.events_applied, 2U);
+  EXPECT_EQ(session.epoch(), epoch + 1);
+  EXPECT_NE(session.group_key(), key);
+  EXPECT_TRUE(session.contains(720005));
+  EXPECT_EQ(session.size(), 24U);
+  expect_consistent(session, "after leave + re-join of one member");
+}
+
+TEST(Update, DriverAdmitsInChunksOf32) {
+  // A hierarchical admit enrolls 32 ids per rekey round: 50 new ids cost
+  // exactly two rounds.
+  ClusterConfig cfg;
+  cfg.min_cluster = 4;
+  cfg.max_cluster = 12;
+  HierarchicalSession session(tiny_authority(), cfg, make_ids(24, 730000), 18);
+  sim::Scheduler scheduler;
+  sim::ProtocolDriver driver(scheduler, sim::DriverConfig{}, 18);
+  driver.attach(session);
+  ASSERT_TRUE(driver.form().success);
+  const std::uint64_t epoch = session.epoch();
+  ASSERT_TRUE(driver.admit(make_ids(50, 739000)).success);
+  EXPECT_EQ(session.epoch(), epoch + 2);
+  EXPECT_EQ(session.size(), 74U);
+  expect_consistent(session, "after a 50-id admit");
 }
 
 TEST(Report, RollsUpAllTiersAndDepartures) {

@@ -27,7 +27,7 @@ TEST(Scheduler, RunsEventsInTimeThenInsertionOrder) {
   sched.run_until(150);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(sched.now(), 150U);
-  EXPECT_EQ(sched.pending(), 1U);
+  EXPECT_EQ(sched.next_event_time(), SimTime{200});
   sched.run_until(200);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sched.executed(), 3U);
